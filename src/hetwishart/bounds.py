@@ -13,12 +13,12 @@ pins the growth rate, not the constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
-from .profiles import ProfileSummary
+from .profiles import ProfileSummary, VarianceProfile, summarize
 
 __all__ = [
     "BoundReport",
@@ -33,6 +33,7 @@ __all__ = [
     "structured_rates",
     "lower_bound_rate",
     "clustering_rates",
+    "BOUNDS",
 ]
 
 
@@ -49,13 +50,7 @@ class BoundReport:
             raise ParameterError(f"bound value must be nonnegative, got {self.value}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "value": self.value,
-            "terms": dict(self.terms),
-            "params": dict(self.params),
-            "rate_only": self.rate_only,
-        }
+        return asdict(self)
 
 
 def c1_constant(eps1: float) -> float:
@@ -194,11 +189,11 @@ class MomentTail:
     tail_prob: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "moment_bound": self.moment_bound,
-            "tail_threshold": self.tail_threshold,
-            "tail_prob": self.tail_prob,
-        }
+        return asdict(self)
+
+    @property
+    def value(self) -> float:
+        return self.moment_bound
 
 
 def moment_and_tail(s: ProfileSummary, b: float, x: float, C: float) -> MomentTail:
@@ -286,6 +281,68 @@ def lower_bound_rate(s: ProfileSummary, p1: int, p2: int) -> BoundReport:
     return BoundReport(
         "lower_bound", sum(terms.values()), terms, params={"p1": p1, "p2": p2}, rate_only=True
     )
+
+
+def _param(params: dict, name: str, default: float | None = None) -> float | None:
+    value = params.get(name, default)
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"bound parameter {name!r} must be a number, got {value!r}") from None
+
+
+def _structured(kind: str):
+    """structured_rates on a profile that must be homoskedastic along ``kind``."""
+
+    def rate(profile: VarianceProfile, params: dict) -> BoundReport:
+        sigma = profile.sigma if kind == "rows" else profile.sigma.T
+        if not np.array_equal(sigma, np.tile(sigma[:, :1], (1, sigma.shape[1]))):
+            raise ParameterError(f"profile is not {kind}-homoskedastic")
+        return structured_rates(kind, sigma[:, 0], sigma.shape[1])
+
+    return rate
+
+
+def _unified(family: str):
+    return lambda profile, params: unified_bound(
+        summarize(profile),
+        family,
+        alpha=_param(params, "alpha"),
+        B=_param(params, "B"),
+        p_max=max(profile.p1, profile.p2),
+        c0=_param(params, "c0", 1.0),
+    )
+
+
+class _BoundTable(dict):
+    def __missing__(self, bound_id):
+        raise ParameterError(f"unknown bound id {bound_id!r}; expected one of {sorted(self)}")
+
+
+# Every bound by id: a function of (profile, params) returning the library's
+# report (a BoundReport, or MomentTail for moment_tail).  Parameter defaults
+# live here and nowhere else; looking up an unknown id raises ParameterError.
+BOUNDS: dict = _BoundTable({
+    "gaussian": lambda profile, params: gaussian_upper_bound(
+        summarize(profile), _param(params, "eps1", 0.1), _param(params, "eps2", 0.1)
+    ),
+    "symmetrization": lambda profile, params: baseline_bounds(summarize(profile), profile.p2)[0],
+    "matrix_sum": lambda profile, params: baseline_bounds(summarize(profile), profile.p2)[1],
+    "lower_bound": lambda profile, params: lower_bound_rate(
+        summarize(profile), profile.p1, profile.p2
+    ),
+    "structured_rows": _structured("rows"),
+    "structured_columns": _structured("columns"),
+    "moment_tail": lambda profile, params: moment_and_tail(
+        summarize(profile),
+        _param(params, "b", 2.0),
+        _param(params, "x", 1.0),
+        _param(params, "C", 1.0),
+    ),
+    **{f"unified_{family}": _unified(family) for family in _FAMILY_ALIASES},
+})
 
 
 @dataclass(frozen=True)

@@ -40,16 +40,15 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(path: str | None, payload: dict) -> None:
+    """Print the JSON payload, and write it to path if one is given."""
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        _atomic_write(args.out, text + "\n")
+    if path:
+        _atomic_write(path, text + "\n")
     print(text)
 
 
-def _load_model(spec: str | None) -> samplers.NoiseModel:
-    if spec is None:
-        return samplers.Gaussian()
+def _load_model(spec: str) -> samplers.NoiseModel:
     if spec.strip().startswith("{"):
         return samplers.model_from_json_dict(json.loads(spec))
     with open(spec, "r", encoding="utf-8") as fh:
@@ -66,12 +65,20 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _require_seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    raise ParameterError("a --seed is required; runs are never wall-clock seeded")
+def _setting(args, cfg: dict, name: str, default=None, convert=int):
+    """The --name flag if given, else the config's value, else the default;
+    a setting without a default is required."""
+    value = getattr(args, name)
+    if value is not None:
+        return value
+    if name in cfg:
+        try:
+            return convert(cfg[name])
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"config field {name!r}: {exc}") from None
+    if default is None:
+        raise ParameterError(f"--{name} (or a config with {name!r}) is required")
+    return default
 
 
 # ---------------------------------------------------------------- profile
@@ -82,50 +89,22 @@ def cmd_profile(args) -> int:
     s = profiles.summarize(prof)
     if args.out:
         _atomic_write(args.out, profiles.profile_to_json(prof) + "\n")
-    payload = {
-        "p1": prof.p1,
-        "p2": prof.p2,
-        "sigma_C": s.sigma_C,
-        "sigma_R": s.sigma_R,
-        "sigma_star": s.sigma_star,
-        "p_min": s.p_min,
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(None, {"p1": prof.p1, "p2": prof.p2, **vars(s)})
     return 0
 
 
 # ---------------------------------------------------------------- bound
 
 
+_BOUND_FLAGS = ("eps1", "eps2", "b", "x", "C", "alpha", "B", "c0")
+
+
 def cmd_bound(args) -> int:
-    prof = profiles.load_profile(args.profile)
-    s = profiles.summarize(prof)
-    if args.id == "gaussian":
-        report = bounds.gaussian_upper_bound(s, args.eps1, args.eps2).to_json_dict()
-    elif args.id == "symmetrization":
-        report = bounds.baseline_bounds(s, prof.p2)[0].to_json_dict()
-    elif args.id == "matrix_sum":
-        report = bounds.baseline_bounds(s, prof.p2)[1].to_json_dict()
-    elif args.id == "lower_bound":
-        report = bounds.lower_bound_rate(s, prof.p1, prof.p2).to_json_dict()
-    elif args.id in ("structured_rows", "structured_columns"):
-        value = experiments.evaluate_bound(args.id, prof)
-        report = {"bound_id": args.id, "value": value, "terms": {}, "params": {}, "rate_only": True}
-    elif args.id.startswith("unified_"):
-        report = bounds.unified_bound(
-            s,
-            args.id[len("unified_"):],
-            alpha=args.alpha,
-            B=args.B,
-            p_max=max(prof.p1, prof.p2),
-            c0=args.c0,
-        ).to_json_dict()
-    elif args.id == "moment_tail":
-        report = bounds.moment_and_tail(s, args.b, args.x, args.C).to_json_dict()
-        report["bound_id"] = "moment_tail"
-    else:
-        raise ParameterError(f"unknown bound id {args.id!r}")
-    _emit(args, report)
+    bound = bounds.BOUNDS[args.id]
+    params = {k: getattr(args, k) for k in _BOUND_FLAGS if getattr(args, k) is not None}
+    report = bound(profiles.load_profile(args.profile), params).to_json_dict()
+    report.setdefault("bound_id", args.id)
+    _emit(args.out, report)
     return 0
 
 
@@ -134,11 +113,9 @@ def cmd_bound(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    seed = _require_seed(args, cfg)
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
-    reps = args.reps if args.reps is not None else cfg.get("reps")
-    if reps is None:
-        raise ParameterError("--reps is required")
+    seed = _setting(args, cfg, "seed")
+    threads = _setting(args, cfg, "threads", 1)
+    reps = _setting(args, cfg, "reps")
     if args.profile:
         prof = profiles.load_profile(args.profile)
     elif "profile" in cfg:
@@ -148,59 +125,64 @@ def cmd_simulate(args) -> int:
     model = _load_model(args.model) if args.model else samplers.model_from_json_dict(
         cfg.get("model", {"model": "gaussian", "params": {}})
     )
-    est = experiments.estimate_concentration(prof, model, int(reps), seed, threads)
+    est = experiments.estimate_concentration(prof, model, reps, seed, threads)
     resolved = {
         "profile": json.loads(profiles.profile_to_json(prof)),
         "model": samplers.model_to_json_dict(model),
-        "reps": int(reps),
+        "reps": reps,
         "seed": seed,
         "threads": threads,
     }
-    _emit(args, {"command": "simulate", "config": resolved, "estimate": est.to_json_dict()})
+    _emit(args.out, {"command": "simulate", "config": resolved, "estimate": est.to_json_dict()})
     return 0
 
 
 # ---------------------------------------------------------------- oracle
 
 
-def cmd_oracle(args) -> int:
-    if args.check == "paired":
-        if args.xs is None:
-            raise ParameterError("--xs x1,x2,x3,x4,x5 is required for the paired check")
-        xs = [int(v) for v in args.xs.split(",")]
-        if len(xs) != 5:
-            raise ParameterError("--xs must list exactly five integers")
-        res = moment_oracle.check_paired_moment(*xs)
-        payload = {"check": "paired", "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds,
-                   "cycles_enumerated": res.cycles_enumerated}
-        _emit(args, payload)
-        return 0
+def _oracle_profile(args) -> profiles.VarianceProfile:
+    if args.profile is None:
+        raise ParameterError(f"--profile is required for the {args.check} check")
+    return profiles.load_profile(args.profile)
 
-    prof = profiles.load_profile(args.profile)
-    q = args.q
-    if args.check == "comparison":
-        res = moment_oracle.check_gaussian_comparison(prof, q)
-    elif args.check == "contraction":
-        res = moment_oracle.check_variance_contraction(prof, q)
-    elif args.check == "deletion":
-        res = moment_oracle.check_diagonal_deletion(prof, q)
-    elif args.check in ("trace", "deleted_trace", "shape_trace"):
-        fn = {
-            "trace": moment_oracle.exact_trace_moment,
-            "deleted_trace": moment_oracle.exact_deleted_diagonal_trace_moment,
-            "shape_trace": moment_oracle.exact_trace_moment_by_shape,
-        }[args.check]
-        value = fn(prof, q)
-        payload = {"check": args.check, "value": value,
-                   "cycles_enumerated": moment_oracle.cycle_count(prof.p1, prof.p2, q)}
-        _emit(args, payload)
-        return 0
-    else:
-        raise ParameterError(f"unknown oracle check {args.check!r}")
-    payload = {"check": args.check, "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds,
-               "cycles_enumerated": res.cycles_enumerated}
-    _emit(args, payload)
-    return 0 if res.holds else 5
+
+def _check(fn):
+    """A comparison check on the profile; the payload is its ComparisonResult."""
+    return lambda args: vars(fn(_oracle_profile(args), args.q))
+
+
+def _paired(args) -> dict:
+    if args.xs is None:
+        raise ParameterError("--xs x1,x2,x3,x4,x5 is required for the paired check")
+    if len(args.xs) != 5:
+        raise ParameterError("--xs must list exactly five integers")
+    return vars(moment_oracle.check_paired_moment(*args.xs))
+
+
+def _moment(fn):
+    def run(args) -> dict:
+        prof = _oracle_profile(args)
+        return {"value": fn(prof, args.q),
+                "cycles_enumerated": moment_oracle.cycle_count(prof.p1, prof.p2, args.q)}
+    return run
+
+
+# --check name -> function of the parsed arguments returning the payload
+ORACLE_CHECKS = {
+    "comparison": _check(moment_oracle.check_gaussian_comparison),
+    "contraction": _check(moment_oracle.check_variance_contraction),
+    "deletion": _check(moment_oracle.check_diagonal_deletion),
+    "paired": _paired,
+    "trace": _moment(moment_oracle.exact_trace_moment),
+    "deleted_trace": _moment(moment_oracle.exact_deleted_diagonal_trace_moment),
+    "shape_trace": _moment(moment_oracle.exact_trace_moment_by_shape),
+}
+
+
+def cmd_oracle(args) -> int:
+    payload = {"check": args.check, **ORACLE_CHECKS[args.check](args)}
+    _emit(args.out, payload)
+    return 5 if payload.get("holds") is False else 0
 
 
 # ---------------------------------------------------------------- sweep
@@ -208,6 +190,7 @@ def cmd_oracle(args) -> int:
 
 def _resolve_family(family: dict, master_seed: int) -> list[tuple[str, profiles.VarianceProfile]]:
     kind = family.get("kind")
+    family_seed = samplers.derive_seed(master_seed, _SALT_FAMILY)
     out: list[tuple[str, profiles.VarianceProfile]] = []
     if kind == "list":
         for entry in family["profiles"]:
@@ -220,9 +203,7 @@ def _resolve_family(family: dict, master_seed: int) -> list[tuple[str, profiles.
         p2_lo, p2_hi = int(family.get("p2_min", 2)), int(family["p2_max"])
         lo, hi = float(family.get("sigma_min", 0.0)), float(family.get("sigma_max", 1.0))
         for k in range(count):
-            rng = samplers.generator(
-                samplers.SampleSeed(samplers.derive_seed(master_seed, _SALT_FAMILY), k)
-            )
+            rng = samplers.generator(samplers.SampleSeed(family_seed, k))
             p1 = int(rng.integers(p1_lo, p1_hi + 1))
             p2 = int(rng.integers(p2_lo, p2_hi + 1))
             sigma = rng.uniform(lo, hi, size=(p1, p2))
@@ -232,17 +213,11 @@ def _resolve_family(family: dict, master_seed: int) -> list[tuple[str, profiles.
         rows = kind == "homoskedastic_rows_grid"
         grid = [int(v) for v in (family["p1_grid"] if rows else family["p2_grid"])]
         other = int(family["p2"] if rows else family["p1"])
+        make = profiles.homoskedastic_rows if rows else profiles.homoskedastic_columns
         lo, hi = float(family.get("sigma_min", 0.5)), float(family.get("sigma_max", 1.5))
         for k, dim in enumerate(grid):
-            rng = samplers.generator(
-                samplers.SampleSeed(samplers.derive_seed(master_seed, _SALT_FAMILY), k)
-            )
-            sig = rng.uniform(lo, hi, size=dim)
-            prof = (
-                profiles.homoskedastic_rows(sig, other)
-                if rows
-                else profiles.homoskedastic_columns(sig, other)
-            )
+            rng = samplers.generator(samplers.SampleSeed(family_seed, k))
+            prof = make(rng.uniform(lo, hi, size=dim), other)
             out.append((f"{'rows' if rows else 'columns'}{dim}", prof))
         return out
     raise ParameterError(f"unknown profile family kind {kind!r}")
@@ -250,16 +225,18 @@ def _resolve_family(family: dict, master_seed: int) -> list[tuple[str, profiles.
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if not cfg:
-        raise ParameterError("--config is required for sweep")
-    seed = _require_seed(args, cfg)
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
-    named = _resolve_family(cfg["family"], seed)
+    seed = _setting(args, cfg, "seed")
+    threads = _setting(args, cfg, "threads", 1)
+    try:
+        named = _resolve_family(cfg["family"], seed)
+        reps = int(cfg["reps"])
+        bound_cfg = dict(cfg.get("bound", {"id": "gaussian"}))
+        bound_id = bound_cfg.pop("id")
+    except KeyError as exc:
+        raise ParameterError(f"sweep config missing field {exc}") from None
     model = samplers.model_from_json_dict(cfg.get("model", {"model": "gaussian", "params": {}}))
-    bound_cfg = dict(cfg.get("bound", {"id": "gaussian"}))
-    bound_id = bound_cfg.pop("id")
     rows = experiments.rate_sweep(
-        named, model, int(cfg["reps"]), bound_id, seed, threads, bound_params=bound_cfg
+        named, model, reps, bound_id, seed, threads, bound_params=bound_cfg
     )
     csv_text = experiments.sweep_rows_to_csv(rows)
     _atomic_write(args.out, csv_text)
@@ -275,9 +252,7 @@ def cmd_sweep(args) -> int:
         "max_ratio": max((r.ratio for r in rows), default=float("nan")),
         "min_ratio": min((r.ratio for r in rows), default=float("nan")),
     }
-    if args.summary:
-        _atomic_write(args.summary, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit(args.summary, summary)
     return 0
 
 
@@ -286,15 +261,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _load_config(args)
-    seed = _require_seed(args, cfg)
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
-    n = args.n if args.n is not None else int(cfg["n"])
-    p = args.p if args.p is not None else int(cfg["p"])
-    reps = args.reps if args.reps is not None else int(cfg["reps"])
-    if args.lambdas is not None:
-        lambda_grid = [float(v) for v in args.lambdas.split(",")]
-    else:
-        lambda_grid = [float(v) for v in cfg["lambdas"]]
+    seed = _setting(args, cfg, "seed")
+    threads = _setting(args, cfg, "threads", 1)
+    n = _setting(args, cfg, "n")
+    p = _setting(args, cfg, "p")
+    reps = _setting(args, cfg, "reps")
+    lambda_grid = _setting(args, cfg, "lambdas", convert=lambda values: list(map(float, values)))
     if args.sigma_const is not None:
         sigmas = np.full(p, args.sigma_const)
     elif "sigmas" in cfg:
@@ -324,7 +296,7 @@ def cmd_cluster(args) -> int:
             for r in rows
         ],
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit(None, summary)
     return 0
 
 
@@ -344,14 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="evaluate a closed-form bound on a profile")
     p.add_argument("--profile", required=True)
     p.add_argument("--id", required=True)
-    p.add_argument("--eps1", type=float, default=0.1)
-    p.add_argument("--eps2", type=float, default=0.1)
-    p.add_argument("--b", type=float, default=2.0)
-    p.add_argument("--x", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--B", type=float)
-    p.add_argument("--c0", type=float, default=1.0)
+    for flag in _BOUND_FLAGS:
+        p.add_argument(f"--{flag}", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bound)
 
@@ -366,12 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="exact trace-moment computations and checks")
-    p.add_argument("--check", required=True,
-                   choices=["comparison", "contraction", "deletion", "paired",
-                            "trace", "deleted_trace", "shape_trace"])
+    p.add_argument("--check", required=True, choices=list(ORACLE_CHECKS))
     p.add_argument("--profile")
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--xs", help="x1,x2,x3,x4,x5 for the paired check")
+    p.add_argument("--xs", type=lambda text: [int(v) for v in text.split(",")],
+                   help="x1,x2,x3,x4,x5 for the paired check")
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 
@@ -387,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--reps", type=int)
-    p.add_argument("--lambdas", help="comma-separated signal strengths")
+    p.add_argument("--lambdas", type=lambda text: [float(v) for v in text.split(",")],
+                   help="comma-separated signal strengths")
     p.add_argument("--sigma-const", type=float, dest="sigma_const")
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int)

@@ -3,9 +3,8 @@ and the two-component heteroskedastic clustering application.
 
 Everything is deterministic given a master seed.  Replicates are the unit of
 parallelism: replicate r of a run always uses the stream keyed by
-(master seed, r), results are aggregated in replicate order, and linear
-algebra inside a replicate is pinned to one BLAS thread, so a run's output is
-byte-identical whether it used 1 worker or 8.
+(master seed, r) and results are aggregated in replicate order, so a run's
+output is byte-identical whether it used 1 worker or 8.
 """
 
 from __future__ import annotations
@@ -24,15 +23,6 @@ from .errors import ParameterError
 from .profiles import VarianceProfile, summarize
 from .samplers import NoiseModel, SampleSeed, derive_seed, generator, model_to_json_dict, sample
 from .spectral import centered_gram, spectral_norm
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    from contextlib import nullcontext
-
-    def threadpool_limits(limits=None):
-        return nullcontext()
-
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -66,12 +56,11 @@ def _run_replicates(fn: Callable[[int], float], n_reps: int, threads: int) -> np
     """Evaluate fn(0..n_reps-1) with a worker pool; output order is by index."""
     if threads < 1:
         raise ParameterError("threads must be >= 1")
-    with threadpool_limits(limits=1):
-        if threads == 1:
-            values = [fn(r) for r in range(n_reps)]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                values = list(pool.map(fn, range(n_reps)))
+    if threads == 1:
+        values = [fn(r) for r in range(n_reps)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            values = list(pool.map(fn, range(n_reps)))
     return np.asarray(values, dtype=float)
 
 
@@ -164,53 +153,10 @@ def tail_empirics(
     return rows
 
 
-def _require_rows_homoskedastic(profile: VarianceProfile) -> np.ndarray:
-    if not np.array_equal(profile.sigma, np.tile(profile.sigma[:, :1], (1, profile.p2))):
-        raise ParameterError("profile is not rows-homoskedastic")
-    return profile.sigma[:, 0]
-
-
-def _require_columns_homoskedastic(profile: VarianceProfile) -> np.ndarray:
-    if not np.array_equal(profile.sigma, np.tile(profile.sigma[:1, :], (profile.p1, 1))):
-        raise ParameterError("profile is not columns-homoskedastic")
-    return profile.sigma[0, :]
-
-
 def evaluate_bound(bound_id: str, profile: VarianceProfile, params: dict | None = None) -> float:
-    """Resolve a bound identifier against a concrete profile.
-
-    Known ids: gaussian, symmetrization, matrix_sum, lower_bound,
-    structured_rows, structured_columns, unified_<family>.
-    """
-    params = dict(params or {})
-    s = summarize(profile)
-    if bound_id == "gaussian":
-        return bounds_mod.gaussian_upper_bound(
-            s, eps1=float(params.get("eps1", 0.1)), eps2=float(params.get("eps2", 0.1))
-        ).value
-    if bound_id == "symmetrization":
-        return bounds_mod.baseline_bounds(s, profile.p2)[0].value
-    if bound_id == "matrix_sum":
-        return bounds_mod.baseline_bounds(s, profile.p2)[1].value
-    if bound_id == "lower_bound":
-        return bounds_mod.lower_bound_rate(s, profile.p1, profile.p2).value
-    if bound_id == "structured_rows":
-        return bounds_mod.structured_rates("rows", _require_rows_homoskedastic(profile), profile.p2).value
-    if bound_id == "structured_columns":
-        return bounds_mod.structured_rates(
-            "columns", _require_columns_homoskedastic(profile), profile.p1
-        ).value
-    if bound_id.startswith("unified_"):
-        family = bound_id[len("unified_"):]
-        return bounds_mod.unified_bound(
-            s,
-            family,
-            alpha=params.get("alpha"),
-            B=params.get("B"),
-            p_max=max(profile.p1, profile.p2),
-            c0=float(params.get("c0", 1.0)),
-        ).value
-    raise ParameterError(f"unknown bound id {bound_id!r}")
+    """Value of the ``bounds.BOUNDS`` entry ``bound_id`` on a concrete profile
+    (the moment bound for ``moment_tail``)."""
+    return bounds_mod.BOUNDS[bound_id](profile, dict(params or {})).value
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError, SizeGuardError
-from .profiles import VarianceProfile
+from .profiles import _REL_SLACK, VarianceProfile, _ceil_tol
 
 __all__ = [
     "MAX_GAUSSIAN_ORDER",
@@ -64,7 +64,6 @@ MAX_HEAVY_TAIL_ORDER = 40    # guard for the Gamma-based heavy-tail moments
 ENUMERATION_GUARD = 10**8    # max number of cycles any enumeration may touch
 ENVELOPE_CONSTANT = 3.0      # calibrated constant in the sub-Gaussian moment envelope
 
-_REL_SLACK = 1e-12
 _COMPARISON_SLACK = 1e-9     # lhs <= rhs * (1 + slack) absorbs float roundoff
 
 
@@ -409,10 +408,6 @@ def _ones_trace_moment(m1: int, m2: int, q: int) -> float:
 @lru_cache(maxsize=128)
 def _ones_deleted_trace_moment(p1: int, m: int, q: int) -> float:
     return exact_deleted_diagonal_trace_moment(_ones_profile(p1, m), q)
-
-
-def _ceil_tol(x: float) -> int:
-    return int(math.ceil(x * (1.0 - _REL_SLACK) - _REL_SLACK))
 
 
 def check_gaussian_comparison(profile: VarianceProfile, q: int) -> ComparisonResult:

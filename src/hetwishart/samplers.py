@@ -21,8 +21,8 @@ Supported entry families (all independent, mean zero):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "Bernoulli",
     "HeavyTail",
     "NoiseModel",
+    "MODELS",
     "generator",
     "derive_seed",
     "heavy_tail_scale",
@@ -75,18 +76,75 @@ def derive_seed(master_seed: int, salt: int) -> int:
     return z ^ (z >> 31)
 
 
+def heavy_tail_scale(b: float) -> float:
+    """s_b = sqrt(E|H|^(2b-2)) = sqrt(2^(b-1) Gamma(b-1/2) / Gamma(1/2))."""
+    if b == 1.0:
+        return 1.0
+    return math.sqrt(2.0 ** (b - 1.0) * math.gamma(b - 0.5) / math.gamma(0.5))
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class NoiseModel:
+    """An entry family.  Each subclass draws its entries, reports their
+    variances and kappa, checks the profile it is paired with, and converts
+    its dataclass fields (its JSON params) with ``_convert``."""
+
+    kind: ClassVar[str]
+    _convert: ClassVar[Callable] = float
+
+    def draw(self, rng: np.random.Generator, sigma: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def variances(self, profile: VarianceProfile) -> np.ndarray:
+        return profile.variances()
+
+    def check(self, profile: VarianceProfile) -> None:
+        """Reject a profile this model cannot be paired with."""
+
+    def kappa(self) -> float:
+        raise NotImplementedError
+
+    def params(self) -> dict:
+        return {f.name: np.asarray(getattr(self, f.name), float).tolist() for f in fields(self)}
+
+    @classmethod
+    def from_params(cls, params: dict) -> NoiseModel:
+        values = {}
+        for f in fields(cls):
+            try:
+                values[f.name] = cls._convert(params[f.name])
+            except KeyError:
+                raise ParameterError(f"noise model JSON missing parameter {f.name!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"noise model parameter {f.name!r}: {exc}") from None
+        return cls(**values)
+
+
+@dataclass(frozen=True)
+class Gaussian(NoiseModel):
     kind = "gaussian"
 
+    def draw(self, rng, sigma):
+        return sigma * rng.standard_normal(sigma.shape)
+
+    def kappa(self):
+        return math.sqrt(2.0 / math.pi)
+
 
 @dataclass(frozen=True)
-class ScaledRademacher:
+class ScaledRademacher(NoiseModel):
     kind = "rademacher"
 
+    def draw(self, rng, sigma):
+        signs = rng.integers(0, 2, size=sigma.shape).astype(float) * 2.0 - 1.0
+        return sigma * signs
+
+    def kappa(self):
+        return 1.0
+
 
 @dataclass(frozen=True)
-class Bounded:
+class Bounded(NoiseModel):
     B: float
     kind = "bounded"
 
@@ -94,11 +152,27 @@ class Bounded:
         if not self.B > 0:
             raise ParameterError("B must be positive")
 
+    def check(self, profile):
+        sigma_star = float(profile.sigma.max())
+        if sigma_star * _SQRT3 > self.B * (1.0 + 1e-12):
+            raise ParameterError(
+                f"bounded model needs sigma_* * sqrt(3) <= B ({sigma_star * _SQRT3} > {self.B})"
+            )
 
-@dataclass(frozen=True)
-class Bernoulli:
+    def draw(self, rng, sigma):
+        return sigma * rng.uniform(-_SQRT3, _SQRT3, size=sigma.shape)
+
+    def kappa(self):
+        return _SQRT3 / 2.0
+
+
+@dataclass(frozen=True, eq=False)
+class Bernoulli(NoiseModel):
+    """Entries A_ij - theta_ij; the paired profile only fixes the dimensions."""
+
     theta: np.ndarray = field(repr=False)
     kind = "bernoulli"
+    _convert = staticmethod(lambda value: np.asarray(value, dtype=float))
 
     def __post_init__(self):
         arr = np.asarray(self.theta, dtype=float)
@@ -110,13 +184,39 @@ class Bernoulli:
         arr.flags.writeable = False
         object.__setattr__(self, "theta", arr)
 
+    def __eq__(self, other):
+        return type(other) is Bernoulli and np.array_equal(self.theta, other.theta)
+
     def implied_profile(self) -> VarianceProfile:
         """The profile the model actually realizes: sigma_ij = sqrt(theta(1-theta))."""
         return VarianceProfile(np.sqrt(self.theta * (1.0 - self.theta)))
 
+    def check(self, profile):
+        if self.theta.shape != profile.shape:
+            raise ParameterError(
+                f"theta grid {self.theta.shape} does not match profile shape {profile.shape}"
+            )
+
+    def draw(self, rng, sigma):
+        draws = (rng.random(sigma.shape) < self.theta).astype(float)
+        return draws - self.theta
+
+    def variances(self, profile):
+        return self.theta * (1.0 - self.theta)
+
+    def kappa(self):
+        theta = np.clip(self.theta, 1e-12, 1.0 - 1e-12)
+        sigma = np.sqrt(theta * (1.0 - theta))
+        best = 0.0
+        for q in np.exp(np.linspace(0.0, math.log(400.0), 400)):
+            mom = theta * (1.0 - theta) ** q + (1.0 - theta) * theta**q
+            vals = (mom ** (1.0 / q)) / (sigma * math.sqrt(q))
+            best = max(best, float(vals.max()))
+        return best
+
 
 @dataclass(frozen=True)
-class HeavyTail:
+class HeavyTail(NoiseModel):
     b: float
     kind = "heavy_tail"
 
@@ -124,28 +224,35 @@ class HeavyTail:
         if self.b < 1.0:
             raise ParameterError("b must be >= 1")
 
+    def draw(self, rng, sigma):
+        g = rng.standard_normal(sigma.shape)
+        if self.b == 1.0:
+            return sigma * g
+        h = rng.standard_normal(sigma.shape)
+        w = g * np.abs(h) ** (self.b - 1.0)
+        return sigma * (w / heavy_tail_scale(self.b))
 
-NoiseModel = Union[Gaussian, ScaledRademacher, Bounded, Bernoulli, HeavyTail]
+    def kappa(self):
+        b = self.b
+        s = heavy_tail_scale(b)
+        qs = np.exp(np.linspace(0.0, math.log(400.0), 2000))
+        # log E|W|^q = log E|G|^q + log E|H|^((b-1)q), both Gamma expressions
+        from scipy.special import gammaln
+
+        def log_abs_moment(q):
+            return q / 2.0 * math.log(2.0) + gammaln((q + 1.0) / 2.0) - gammaln(0.5)
+
+        vals = [
+            math.exp((log_abs_moment(q) + log_abs_moment((b - 1.0) * q)) / q - math.log(s))
+            / q ** (b / 2.0)
+            for q in qs
+        ]
+        return max(vals)
 
 
-def heavy_tail_scale(b: float) -> float:
-    """s_b = sqrt(E|H|^(2b-2)) = sqrt(2^(b-1) Gamma(b-1/2) / Gamma(1/2))."""
-    if b == 1.0:
-        return 1.0
-    return math.sqrt(2.0 ** (b - 1.0) * math.gamma(b - 0.5) / math.gamma(0.5))
-
-
-def _check_dims(profile: VarianceProfile, model: NoiseModel) -> None:
-    if isinstance(model, Bernoulli) and model.theta.shape != profile.shape:
-        raise ParameterError(
-            f"theta grid {model.theta.shape} does not match profile shape {profile.shape}"
-        )
-    if isinstance(model, Bounded):
-        sigma_star = float(profile.sigma.max())
-        if sigma_star * _SQRT3 > model.B * (1.0 + 1e-12):
-            raise ParameterError(
-                f"bounded model needs sigma_* * sqrt(3) <= B ({sigma_star * _SQRT3} > {model.B})"
-            )
+MODELS: dict[str, type[NoiseModel]] = {
+    cls.kind: cls for cls in (Gaussian, ScaledRademacher, Bounded, Bernoulli, HeavyTail)
+}
 
 
 def sample(profile: VarianceProfile, model: NoiseModel, seed: SampleSeed) -> np.ndarray:
@@ -155,35 +262,13 @@ def sample(profile: VarianceProfile, model: NoiseModel, seed: SampleSeed) -> np.
     entries are A_ij - theta_ij with variance theta_ij (1 - theta_ij); there the
     profile only fixes the dimensions.
     """
-    _check_dims(profile, model)
-    rng = generator(seed)
-    shape = profile.shape
-    sigma = profile.sigma
-    if isinstance(model, Gaussian):
-        return sigma * rng.standard_normal(shape)
-    if isinstance(model, ScaledRademacher):
-        signs = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-        return sigma * signs
-    if isinstance(model, Bounded):
-        return sigma * rng.uniform(-_SQRT3, _SQRT3, size=shape)
-    if isinstance(model, Bernoulli):
-        draws = (rng.random(shape) < model.theta).astype(float)
-        return draws - model.theta
-    if isinstance(model, HeavyTail):
-        g = rng.standard_normal(shape)
-        if model.b == 1.0:
-            return sigma * g
-        h = rng.standard_normal(shape)
-        w = g * np.abs(h) ** (model.b - 1.0)
-        return sigma * (w / heavy_tail_scale(model.b))
-    raise ParameterError(f"unknown noise model {model!r}")
+    model.check(profile)
+    return model.draw(generator(seed), profile.sigma)
 
 
 def entry_variances(profile: VarianceProfile, model: NoiseModel) -> np.ndarray:
-    _check_dims(profile, model)
-    if isinstance(model, Bernoulli):
-        return model.theta * (1.0 - model.theta)
-    return profile.variances()
+    model.check(profile)
+    return model.variances(profile)
 
 
 def expected_gram(profile: VarianceProfile, model: NoiseModel) -> np.ndarray:
@@ -200,70 +285,18 @@ def kappa(model: NoiseModel) -> float:
     Bernoulli reports the worst entry of the grid.  Any unit-variance variable
     has kappa >= 1/sqrt(2) (take q = 2).
     """
-    if isinstance(model, Gaussian):
-        return math.sqrt(2.0 / math.pi)
-    if isinstance(model, ScaledRademacher):
-        return 1.0
-    if isinstance(model, Bounded):
-        return _SQRT3 / 2.0
-    if isinstance(model, HeavyTail):
-        b = model.b
-        s = heavy_tail_scale(b)
-        qs = np.exp(np.linspace(0.0, math.log(400.0), 2000))
-        # log E|W|^q = log E|G|^q + log E|H|^((b-1)q), both Gamma expressions
-        from scipy.special import gammaln
-
-        def log_abs_moment(q):
-            return q / 2.0 * math.log(2.0) + gammaln((q + 1.0) / 2.0) - gammaln(0.5)
-
-        vals = [
-            math.exp((log_abs_moment(q) + log_abs_moment((b - 1.0) * q)) / q - math.log(s))
-            / q ** (b / 2.0)
-            for q in qs
-        ]
-        return max(vals)
-    if isinstance(model, Bernoulli):
-        theta = np.clip(model.theta, 1e-12, 1.0 - 1e-12)
-        sigma = np.sqrt(theta * (1.0 - theta))
-        best = 0.0
-        for q in np.exp(np.linspace(0.0, math.log(400.0), 400)):
-            mom = theta * (1.0 - theta) ** q + (1.0 - theta) * theta**q
-            vals = (mom ** (1.0 / q)) / (sigma * math.sqrt(q))
-            best = max(best, float(vals.max()))
-        return best
-    raise ParameterError(f"unknown noise model {model!r}")
+    return model.kappa()
 
 
 def model_to_json_dict(model: NoiseModel) -> dict:
-    if isinstance(model, Gaussian):
-        return {"model": "gaussian", "params": {}}
-    if isinstance(model, ScaledRademacher):
-        return {"model": "rademacher", "params": {}}
-    if isinstance(model, Bounded):
-        return {"model": "bounded", "params": {"B": float(model.B)}}
-    if isinstance(model, Bernoulli):
-        return {"model": "bernoulli", "params": {"theta": [[float(x) for x in row] for row in model.theta]}}
-    if isinstance(model, HeavyTail):
-        return {"model": "heavy_tail", "params": {"b": float(model.b)}}
-    raise ParameterError(f"unknown noise model {model!r}")
+    return {"model": model.kind, "params": model.params()}
 
 
 def model_from_json_dict(payload: dict) -> NoiseModel:
     if not isinstance(payload, dict) or "model" not in payload:
         raise ParameterError('noise model JSON must be an object with a "model" field')
     name = payload["model"]
-    params = payload.get("params", {})
-    try:
-        if name == "gaussian":
-            return Gaussian()
-        if name == "rademacher":
-            return ScaledRademacher()
-        if name == "bounded":
-            return Bounded(B=float(params["B"]))
-        if name == "bernoulli":
-            return Bernoulli(theta=np.asarray(params["theta"], dtype=float))
-        if name == "heavy_tail":
-            return HeavyTail(b=float(params["b"]))
-    except KeyError as exc:
-        raise ParameterError(f"noise model JSON missing parameter {exc}") from exc
-    raise ParameterError(f"unknown noise model name {name!r}")
+    cls = MODELS.get(name)
+    if cls is None:
+        raise ParameterError(f"unknown noise model name {name!r}; expected one of {sorted(MODELS)}")
+    return cls.from_params(payload.get("params", {}))

@@ -78,17 +78,12 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-8) -> float:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
 
-def trace_power(A: np.ndarray, q: int, method: str = "matmul") -> float:
-    """Exact tr(A^q) for symmetric A; q - 1 matrix products or eigenvalue powers."""
+def trace_power(A: np.ndarray, q: int) -> float:
+    """Exact tr(A^q) for symmetric A by q - 1 matrix products."""
     if q < 1:
         raise ParameterError("q must be >= 1")
     S = _check_symmetric(A)
-    if method == "matmul":
-        P = S
-        for _ in range(q - 1):
-            P = P @ S
-        return float(np.trace(P))
-    if method == "eig":
-        eigs = np.linalg.eigvalsh(S)
-        return float(np.sum(eigs**q))
-    raise ParameterError(f"unknown trace_power method {method!r}")
+    P = S
+    for _ in range(q - 1):
+        P = P @ S
+    return float(np.trace(P))

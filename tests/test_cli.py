@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from hetwishart import VarianceProfile, gaussian_upper_bound, profile_to_json, summarize
+from hetwishart import (
+    VarianceProfile,
+    baseline_bounds,
+    gaussian_upper_bound,
+    lower_bound_rate,
+    moment_and_tail,
+    profile_to_json,
+    structured_rates,
+    summarize,
+    unified_bound,
+)
+from hetwishart.bounds import _FAMILY_ALIASES, BOUNDS
 from hetwishart.cli import main
 
 
@@ -45,6 +56,7 @@ def test_bound_subcommand(tmp_path, capsys):
 def test_bound_unknown_id_exit_3(tmp_path, capsys):
     path = write_profile(tmp_path, np.ones((2, 2)))
     assert main(["bound", "--profile", path, "--id", "bogus"]) == 3
+    assert "structured_rows" in capsys.readouterr().err  # the error lists the known ids
 
 
 def test_simulate_zero_profile(tmp_path, capsys):
@@ -167,3 +179,96 @@ def test_cluster_subcommand(tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("lambda,")
     assert len(text.strip().splitlines()) == 3
+
+
+# Expected report of every bound id on an all-ones profile (admissible for the
+# lower bound and homoskedastic both ways), called straight on the library
+# with the CLI's defaults and the flags in BOUND_FLAGS.
+BOUND_FLAGS = ["--alpha", "1.5", "--B", "2.0"]
+ONES = VarianceProfile(np.ones((3, 5)))
+EXPECTED_REPORTS = {
+    "gaussian": lambda s: gaussian_upper_bound(s, 0.1, 0.1).to_json_dict(),
+    "symmetrization": lambda s: baseline_bounds(s, 5)[0].to_json_dict(),
+    "matrix_sum": lambda s: baseline_bounds(s, 5)[1].to_json_dict(),
+    "lower_bound": lambda s: lower_bound_rate(s, 3, 5).to_json_dict(),
+    "structured_rows": lambda s: structured_rates("rows", np.ones(3), 5).to_json_dict(),
+    "structured_columns": lambda s: structured_rates("columns", np.ones(5), 3).to_json_dict(),
+    "moment_tail": lambda s: {**moment_and_tail(s, 2.0, 1.0, 1.0).to_json_dict(),
+                              "bound_id": "moment_tail"},
+    **{
+        f"unified_{family}": (
+            lambda s, family=family: unified_bound(
+                s, family, alpha=1.5, B=2.0, p_max=5, c0=1.0
+            ).to_json_dict()
+        )
+        for family in _FAMILY_ALIASES
+    },
+}
+
+
+def test_expected_reports_cover_every_bound():
+    assert set(EXPECTED_REPORTS) == set(BOUNDS)
+
+
+@pytest.mark.parametrize("bound_id", sorted(EXPECTED_REPORTS))
+def test_bound_prints_the_library_report(tmp_path, capsys, bound_id):
+    path = write_profile(tmp_path, ONES.sigma)
+    assert main(["bound", "--profile", path, "--id", bound_id, *BOUND_FLAGS]) == 0
+    assert json.loads(capsys.readouterr().out) == EXPECTED_REPORTS[bound_id](summarize(ONES))
+
+
+@pytest.mark.parametrize("bound_id", ["structured_rows", "moment_tail"])
+def test_sweep_accepts_every_bound_kind(tmp_path, capsys, bound_id):
+    rows = [
+        {"kind": "homoskedastic_rows", "sigmas": [0.5, 1.0, 1.5], "other_dim": 4},
+        {"kind": "homoskedastic_rows", "sigmas": [1.0, 2.0], "other_dim": 6},
+    ]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "family": {"kind": "list", "profiles": [{"profile": r} for r in rows]},
+        "reps": 2,
+        "bound": {"id": bound_id, "b": 3.0},
+    }))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()[1:]
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        prof = VarianceProfile(np.tile(np.asarray(row["sigmas"])[:, None], (1, row["other_dim"])))
+        if bound_id == "structured_rows":
+            expected = structured_rates("rows", row["sigmas"], row["other_dim"]).value
+        else:
+            expected = moment_and_tail(summarize(prof), 3.0, 1.0, 1.0).moment_bound
+        fields = line.split(",")
+        assert fields[7] == bound_id
+        assert float(fields[8]) == expected
+
+
+def _bad_input_args(tmp_path):
+    profile = write_profile(tmp_path, np.full((2, 2), 0.5))
+    no_family = tmp_path / "no_family.json"
+    no_family.write_text(json.dumps({"reps": 2}))
+    no_count = tmp_path / "no_count.json"
+    no_count.write_text(json.dumps({
+        "family": {"kind": "random_uniform", "p1_max": 4, "p2_max": 4}, "reps": 2,
+    }))
+    return {
+        "cluster_without_n": ["cluster", "--seed", "1"],
+        "sweep_without_family": ["sweep", "--config", str(no_family), "--seed", "1",
+                                 "--out", str(tmp_path / "a.csv")],
+        "sweep_without_count": ["sweep", "--config", str(no_count), "--seed", "1",
+                                "--out", str(tmp_path / "b.csv")],
+        "oracle_without_profile": ["oracle", "--check", "trace", "--q", "2"],
+        "model_param_not_a_number": ["simulate", "--profile", profile, "--reps", "2", "--seed", "1",
+                                     "--model", '{"model":"bounded","params":{"B":"x"}}'],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "cluster_without_n", "sweep_without_family", "sweep_without_count",
+    "oracle_without_profile", "model_param_not_a_number",
+])
+def test_bad_input_exits_3_with_error_line(tmp_path, capsys, case):
+    assert main(_bad_input_args(tmp_path)[case]) == 3
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())

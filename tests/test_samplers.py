@@ -18,7 +18,7 @@ from hetwishart import (
     kappa,
     sample,
 )
-from hetwishart.samplers import model_from_json_dict, model_to_json_dict
+from hetwishart.samplers import MODELS, model_from_json_dict, model_to_json_dict
 
 ALL_SIMPLE_MODELS = [Gaussian(), ScaledRademacher(), Bounded(B=5.0), HeavyTail(b=2.0)]
 
@@ -150,7 +150,51 @@ def test_model_json_round_trip():
     for model in models:
         back = model_from_json_dict(model_to_json_dict(model))
         assert type(back) is type(model)
+        assert back == model
     with pytest.raises(ParameterError):
         model_from_json_dict({"model": "cauchy"})
     with pytest.raises(ParameterError):
         HeavyTail(b=0.5)
+
+
+# Reference draws of the Philox stream SampleSeed(2020, 3) on a 3x4 profile,
+# bitwise; they pin every model's draw order across refactors.
+GOLDEN_SIGMA = np.arange(1, 13, dtype=float).reshape(3, 4) / 8
+GOLDEN_DRAWS = {
+    "gaussian": (Gaussian(), [
+        [-0.34358002036705226, 0.11118682808221764, -0.5610541542739496, -0.7476503920373243],
+        [-0.7190944434684864, 0.7851444540506443, 0.14992532352070445, -1.118935166871197],
+        [-1.5515796274775804, -0.487065396443474, -0.9090515671773645, -1.885202640497988],
+    ]),
+    "rademacher": (ScaledRademacher(), [
+        [0.125, -0.25, -0.375, -0.5],
+        [0.625, 0.75, -0.875, -1.0],
+        [-1.125, -1.25, -1.375, -1.5],
+    ]),
+    "bounded": (Bounded(B=3.0), [
+        [-0.16380320730176384, -0.24858894642662663, 0.09742750541252554, -0.7211946527544176],
+        [-0.1431617794974642, -1.0552235284535456, -0.34461978321889347, 1.2980675332731688],
+        [1.8327979722143388, 1.935162738569799, -0.8395634338024102, 0.7391745951793314],
+    ]),
+    "bernoulli": (Bernoulli(theta=np.linspace(0.1, 0.9, 12).reshape(3, 4)), [
+        [-0.1, -0.17272727272727273, -0.24545454545454548, 0.6818181818181818],
+        [-0.390909090909091, 0.5363636363636363, 0.4636363636363636, -0.6090909090909091],
+        [-0.6818181818181819, -0.7545454545454546, 0.17272727272727262, 0.09999999999999998],
+    ]),
+    "heavy_tail": (HeavyTail(b=1.5), [
+        [-0.2542799473136814, 0.09825950207318514, -0.391547471704994, -0.47836597290217764],
+        [-0.46872874292283984, 0.322326268532509, 0.1613456209808278, -0.5089052355087784],
+        [-1.6322432387165404, -0.1400596583557862, -0.662082557420263, -1.006889877847049],
+    ]),
+}
+
+
+def test_golden_draws_cover_every_model():
+    assert set(GOLDEN_DRAWS) == set(MODELS)
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DRAWS))
+def test_sample_golden_values(kind):
+    model, expected = GOLDEN_DRAWS[kind]
+    Z = sample(VarianceProfile(GOLDEN_SIGMA), model, SampleSeed(2020, 3))
+    assert np.array_equal(Z, np.array(expected))
