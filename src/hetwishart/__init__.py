@@ -81,4 +81,4 @@ from .samplers import (
     kappa,
     sample,
 )
-from .spectral import centered_gram, spectral_norm, trace_power
+from .spectral import centered_gram, centered_operator, spectral_norm, trace_power

@@ -22,7 +22,7 @@ from . import bounds as bounds_mod
 from .errors import ParameterError
 from .profiles import VarianceProfile, summarize
 from .samplers import NoiseModel, SampleSeed, derive_seed, generator, model_to_json_dict, sample
-from .spectral import centered_gram, spectral_norm
+from .spectral import centered_operator, spectral_norm
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -94,7 +94,7 @@ def concentration_norms(
 
     def one(rep: int) -> float:
         Z = sample(profile, model, SampleSeed(master_seed, rep))
-        return spectral_norm(centered_gram(Z, profile, model), tol=tol)
+        return spectral_norm(centered_operator(Z, profile, model), tol=tol)
 
     return _run_replicates(one, n_reps, threads)
 

@@ -1,15 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from hetwishart import (
+    Bernoulli,
     ContractError,
     Gaussian,
+    HeavyTail,
     ParameterError,
+    SampleSeed,
     VarianceProfile,
     centered_gram,
+    centered_operator,
+    sample,
     spectral_norm,
     trace_power,
 )
+from hetwishart.experiments import concentration_norms
+from hetwishart.spectral import DENSE_CUTOFF
 
 
 def random_symmetric(rng, n):
@@ -99,6 +109,102 @@ def test_spectral_norm_rejects_asymmetric_and_bad_tol():
 
 def test_spectral_norm_zero_matrix_large():
     assert spectral_norm(np.zeros((128, 128))) == 0.0
+
+
+def _bernoulli_with_constant_rows(p1, p2):
+    theta = np.random.default_rng(9).uniform(0.05, 0.95, (p1, p2))
+    theta[0] = 0.0
+    theta[1] = 1.0  # both rows are identically zero: zero-variance rows
+    return VarianceProfile(np.ones((p1, p2))), Bernoulli(theta=theta)
+
+
+MATRIX_FREE_CASES = {
+    "tall": (VarianceProfile(np.ones((2000, 20))), Gaussian()),
+    "wide": (VarianceProfile(np.ones((20, 2000))), Gaussian()),
+    "square_at_cutoff": (VarianceProfile(np.ones((DENSE_CUTOFF, DENSE_CUTOFF))), Gaussian()),
+    "square_above_cutoff":
+        (VarianceProfile(np.ones((DENSE_CUTOFF + 1, DENSE_CUTOFF + 1))), Gaussian()),
+    "heavy_tail": (VarianceProfile(np.linspace(0.5, 2.0, 300 * 60).reshape(300, 60)),
+                   HeavyTail(b=1.5)),
+    "bernoulli_zero_variance_rows": _bernoulli_with_constant_rows(300, 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_FREE_CASES))
+def test_replicate_norm_matches_dense_gram(case):
+    profile, model = MATRIX_FREE_CASES[case]
+    norms = concentration_norms(profile, model, n_reps=3, master_seed=11)
+    for rep, value in enumerate(norms):
+        Z = sample(profile, model, SampleSeed(11, rep))
+        dense = float(np.abs(np.linalg.eigvalsh(centered_gram(Z, profile, model))).max())
+        assert value == pytest.approx(dense, rel=1e-8)
+
+
+def test_centered_operator_is_centered_gram():
+    rng = np.random.default_rng(10)
+    profile = VarianceProfile(rng.uniform(0, 1, (7, 5)))
+    Z = rng.standard_normal((7, 5))
+    op = centered_operator(Z, profile, Gaussian())
+    A = centered_gram(Z, profile, Gaussian())
+    assert np.array_equal(op.toarray(), A)
+    v = rng.standard_normal(7)
+    assert np.allclose(op @ v, A @ v, rtol=1e-12, atol=1e-12)
+    assert np.allclose(op @ np.eye(7), A, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ParameterError):
+        centered_operator(np.zeros((5, 7)), profile, Gaussian())
+
+
+def test_zero_profile_above_cutoff_is_exactly_zero():
+    norms = concentration_norms(VarianceProfile(np.zeros((300, 50))), Gaussian(), 2, master_seed=1)
+    assert norms.tolist() == [0.0, 0.0]
+
+
+def _fallback_inputs():
+    profile = VarianceProfile(np.ones((DENSE_CUTOFF + 40, 30)))
+    Z = sample(profile, Gaussian(), SampleSeed(3, 0))
+    A = centered_gram(Z, profile, Gaussian())
+    return A, centered_operator(Z, profile, Gaussian()), float(np.abs(np.linalg.eigvalsh(A)).max())
+
+
+def _raise_arpack_error(A, **kwargs):
+    raise scipy.sparse.linalg.ArpackError(-9)
+
+
+def _uncertified_eigenpair(A, **kwargs):
+    n = A.shape[0]
+    vec = np.zeros((n, 1))
+    vec[0, 0] = 1.0
+    return np.array([1.0]), vec  # ||A e_0 - e_0|| is far above tol * 1
+
+
+@pytest.mark.parametrize("fake_eigsh", [_raise_arpack_error, _uncertified_eigenpair])
+def test_dense_fallback_when_lanczos_is_not_certified(monkeypatch, fake_eigsh):
+    A, op, dense = _fallback_inputs()
+    calls = []
+
+    def eigsh(*args, **kwargs):
+        calls.append(args)
+        return fake_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+    assert spectral_norm(A) == dense
+    assert spectral_norm(op) == dense
+    assert len(calls) == 2
+
+
+def test_replicate_memory_is_linear_in_the_sample():
+    """One 4000 x 20 replicate through ``concentration_norms`` must peak far
+    below the 128 MB of a single 4000 x 4000 float array.  The bound is 16 MB;
+    the earlier route, which formed the Gram, peaked at 386 MB on this input."""
+    profile = VarianceProfile(np.ones((4000, 20)))
+    concentration_norms(profile, Gaussian(), 1, master_seed=5)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        concentration_norms(profile, Gaussian(), 1, master_seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_trace_power_examples():
