@@ -52,7 +52,6 @@ from .moment_oracle import (
     enumerate_cycles,
     exact_deleted_diagonal_trace_moment,
     exact_trace_moment,
-    exact_trace_moment_by_shape,
     gaussian_moment,
     heavy_tail_moment,
     shape_of,

@@ -11,8 +11,9 @@ bipartite graph [p1] x [p2]:
 where a cycle is u_1 -> v_1 -> u_2 -> ... -> u_q -> v_q -> u_1, alpha_ij
 counts steps visiting edge (i, j) exactly once, beta_ij counts back-and-forth
 steps u_k = u_{k+1}, and G is standard normal.  Everything here evaluates that
-expansion exactly: Gaussian moments in exact integer arithmetic, cycles by a
-streaming odometer, sums by compensated (exactly rounded) summation.
+expansion exactly: Gaussian moments in exact integer arithmetic, cycles grouped
+by canonical shape and summed over their labelings in numpy blocks, sums by
+compensated (exactly rounded) summation.
 
 The comparison checks at the bottom verify, at desk scale, the inequalities
 this machinery is used to prove: the homoskedastic comparison, variance
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterator
 
 import numpy as np
@@ -49,7 +50,6 @@ __all__ = [
     "enumerate_cycles",
     "cycle_count",
     "exact_trace_moment",
-    "exact_trace_moment_by_shape",
     "exact_deleted_diagonal_trace_moment",
     "ComparisonResult",
     "check_gaussian_comparison",
@@ -61,7 +61,8 @@ __all__ = [
 
 MAX_GAUSSIAN_ORDER = 64      # guard on alpha + 2*beta for exact integer moments
 MAX_HEAVY_TAIL_ORDER = 40    # guard for the Gamma-based heavy-tail moments
-ENUMERATION_GUARD = 10**8    # max number of cycles any enumeration may touch
+ENUMERATION_GUARD = 10**8    # max cycles enumerate_cycles streams, and max shape
+                             # pairs plus labelings one trace moment sums
 ENVELOPE_CONSTANT = 3.0      # calibrated constant in the sub-Gaussian moment envelope
 
 _COMPARISON_SLACK = 1e-9     # lhs <= rhs * (1 + slack) absorbs float roundoff
@@ -228,186 +229,165 @@ def cycle_count(p1: int, p2: int, q: int) -> int:
     return (p1 * p2) ** q
 
 
-def _guard_enumeration(p1: int, p2: int, q: int) -> int:
-    if q < 1:
-        raise ParameterError("q must be >= 1")
-    count = cycle_count(p1, p2, q)
+def _guard(count: int, work: str) -> int:
+    """Refuse ``count`` units of ``work`` beyond ENUMERATION_GUARD, naming both."""
     if count > ENUMERATION_GUARD:
-        raise SizeGuardError(
-            f"enumeration of {count} cycles exceeds the guard {ENUMERATION_GUARD}"
-        )
+        raise SizeGuardError(f"{work} = {count} exceeds the guard {ENUMERATION_GUARD}")
     return count
 
 
-def _iter_raw(p1: int, p2: int, q: int, first_left: int | None = None):
-    left = product(range(p1), repeat=q) if first_left is None else (
-        (first_left,) + rest for rest in product(range(p1), repeat=q - 1)
-    )
-    for u in left:
+def _check_q(q: int) -> None:
+    if q < 1:
+        raise ParameterError("q must be >= 1")
+
+
+def enumerate_cycles(p1: int, p2: int, q: int) -> Iterator[BipartiteCycle]:
+    """Stream all (p1*p2)^q length-2q cycles exactly once (odometer order)."""
+    _check_q(q)
+    _guard(cycle_count(p1, p2, q), "cycles")
+    for u in product(range(p1), repeat=q):
         for v in product(range(p2), repeat=q):
-            yield u, v
+            yield BipartiteCycle(u, v)
 
 
-def enumerate_cycles(
-    p1: int, p2: int, q: int, first_left: int | None = None
-) -> Iterator[BipartiteCycle]:
-    """Stream all (p1*p2)^q length-2q cycles exactly once (odometer order).
+# ---------------------------------------------------------------- shape engine
+#
+# A raw cycle is its canonical shape (u, v) -- two restricted-growth strings,
+# u with L <= p1 left blocks and v with R <= p2 right blocks -- composed with
+# one injective labeling of the L left and R right blocks by vertices.  The
+# Gaussian-moment product M of a shape is the same for all its labelings, so
+#
+#     E tr{(ZZ' - E ZZ')^q} = sum over shapes of M * sum over labelings of
+#                             prod_k sigma_{u_k,v_k} sigma_{u_{k+1},v_k},
+#
+# and for the all-ones profile the inner sum is the count (p1)_L (p2)_R.
 
-    ``first_left`` restricts to cycles with u_1 fixed, the partitioning unit
-    for parallel enumeration.
+_BLOCK = 1 << 14  # labelings per numpy block in the general-profile route
+
+
+def _growth_strings(q: int, blocks: int) -> list[tuple[int, ...]]:
+    """Restricted-growth strings of length q (s_0 = 0, s_k <= max(s_<k) + 1)
+    with at most ``blocks`` blocks: one per set partition of the q steps."""
+    strings = [(0,)]
+    for _ in range(q - 1):
+        strings = [s + (x,) for s in strings for x in range(min(max(s) + 2, blocks))]
+    return strings
+
+
+def _growth_string_count(q: int, blocks: int) -> int:
+    """len(_growth_strings(q, blocks)) = sum_{k <= blocks} S(q, k), by the
+    Stirling recurrence S(n+1, k) = k S(n, k) + S(n, k-1)."""
+    by_blocks = [0, 1]
+    for _ in range(q - 1):
+        by_blocks = [k * s + s_prev for k, (s, s_prev)
+                     in enumerate(zip(by_blocks + [0], [0] + by_blocks))][: blocks + 1]
+    return sum(by_blocks)
+
+
+@lru_cache(maxsize=None)
+def _shapes(q: int, blocks1: int, blocks2: int, deleted: bool) -> tuple:
+    """Shapes (u, v, L, R, M) whose moment product M = prod gaussian_moment(a, b)^count
+    is non-zero; ``deleted`` keeps those with u_k != u_{k+1} at every step."""
+    shapes = []
+    rights = _growth_strings(q, blocks2)
+    for u in _growth_strings(q, blocks1):
+        if deleted and any(u[k] == u[(k + 1) % q] for k in range(q)):
+            continue
+        for v in rights:
+            shape = shape_of(BipartiteCycle(u, v))
+            m = math.prod(gaussian_moment(a, b) ** count for (a, b), count in shape.m_ab)
+            if m:
+                shapes.append((u, v, shape.m_L, shape.m_R, m))
+    return tuple(shapes)
+
+
+def _labelings(n: int, k: int, index: np.ndarray) -> np.ndarray:
+    """Rows ``index`` of the injective k-tuples from range(n), in the order of
+    itertools.permutations(range(n), k), decoded digit by digit."""
+    out = np.empty((index.size, k), dtype=np.intp)
+    for i in range(k):
+        digit = index // math.perm(n - i - 1, k - i - 1) % (n - i)
+        for taken in np.sort(out[:, :i], axis=1).T:
+            digit += digit >= taken
+        out[:, i] = digit
+    return out
+
+
+def _labeled_sum(sigma: np.ndarray, u, v, n_left: int, n_right: int) -> float:
+    """Exactly rounded sum, over the injective labelings of one shape, of
+    prod_k sigma_{u_k,v_k} sigma_{u_{k+1},v_k}, in blocks of _BLOCK labelings."""
+    p1, p2 = sigma.shape
+    q = len(u)
+    flat = sigma.ravel()
+    rights = math.perm(p2, n_right)
+    total = math.perm(p1, n_left) * rights
+
+    def blocks():
+        for start in range(0, total, _BLOCK):
+            index = np.arange(start, min(start + _BLOCK, total))
+            rows = _labelings(p1, n_left, index // rights) * p2
+            cols = _labelings(p2, n_right, index % rights)
+            s = 1.0
+            for k in range(q):
+                col = cols[:, v[k]]
+                s = s * (flat[rows[:, u[k]] + col] * flat[rows[:, u[(k + 1) % q]] + col])
+            yield s.tolist()
+
+    return math.fsum(chain.from_iterable(blocks()))
+
+
+def _trace_moment(q: int, p1: int, p2: int, sigma: np.ndarray | None = None,
+                  deleted: bool = False) -> float:
+    """E tr{(ZZ' - E ZZ')^q}, or E tr{(D(ZZ'))^q} when ``deleted``, by shapes.
+
+    ``sigma`` None (or all ones) is the all-ones p1 x p2 profile, whose moment
+    is the exact integer sum of M (p1)_L (p2)_R.  Otherwise each shape's
+    labelings go into one fsum, which M multiplies, and an outer fsum adds the
+    shapes.  The guard counts shape pairs visited plus labelings summed.
     """
-    _guard_enumeration(p1, p2, q)
-    if first_left is not None and not 0 <= first_left < p1:
-        raise ParameterError(f"first_left must be in [0, {p1})")
-    for u, v in _iter_raw(p1, p2, q, first_left):
-        yield BipartiteCycle(u, v)
+    _check_q(q)
+    pairs = _guard(_growth_string_count(q, p1) * _growth_string_count(q, p2), "shape pairs")
+    shapes = _shapes(q, min(p1, q), min(p2, q), deleted)
+    if sigma is None or (sigma == 1.0).all():
+        return float(sum(m * math.perm(p1, nl) * math.perm(p2, nr) for _, _, nl, nr, m in shapes))
+    labelings = sum(math.perm(p1, nl) * math.perm(p2, nr) for _, _, nl, nr, _ in shapes)
+    _guard(pairs + labelings, "shape pairs plus labelings")
+    return math.fsum(m * _labeled_sum(sigma, u, v, nl, nr) for u, v, nl, nr, m in shapes)
 
 
-def _sigma_rows(profile: VarianceProfile) -> list[list[float]]:
-    return [[float(x) for x in row] for row in profile.sigma]
-
-
-def _cycle_weight_terms(sig, u, v, q):
-    """(sigma product, edge-count dict) for one raw cycle; None if sigma product is 0."""
-    s = 1.0
-    for k in range(q):
-        s *= sig[u[k]][v[k]] * sig[u[(k + 1) % q]][v[k]]
-        if s == 0.0:
-            return None
-    counts: dict[tuple[int, int], list[int]] = {}
-    for k in range(q):
-        uk, vk, unext = u[k], v[k], u[(k + 1) % q]
-        if uk == unext:
-            c = counts.setdefault((uk, vk), [0, 0])
-            c[1] += 1
-        else:
-            c = counts.setdefault((uk, vk), [0, 0])
-            c[0] += 1
-            c = counts.setdefault((unext, vk), [0, 0])
-            c[0] += 1
-    return s, counts
-
-
-def exact_trace_moment(
-    profile: VarianceProfile, q: int, first_left: int | None = None
-) -> float:
+def exact_trace_moment(profile: VarianceProfile, q: int) -> float:
     """Exact E tr{(ZZ' - E ZZ')^q} for independent Gaussian entries.
 
-    Sums the bipartite-cycle expansion with exact integer Gaussian moments;
-    the outer sum is exactly rounded (fsum), so the result is independent of
-    enumeration order.  q = 1 gives exactly 0 (the matrix is centered).
-    ``first_left`` restricts to cycles starting at a given left vertex;
-    the full moment is the sum of the p1 restricted ones.
+    Sums the bipartite-cycle expansion grouped by canonical shape, with exact
+    integer Gaussian moments and exactly rounded (fsum) sums, so the result is
+    independent of summation order.  q = 1 gives exactly 0 (the matrix is
+    centered).
     """
-    _guard_enumeration(profile.p1, profile.p2, q)
-    sig = _sigma_rows(profile)
-
-    def terms():
-        for u, v in _iter_raw(profile.p1, profile.p2, q, first_left):
-            w = _cycle_weight_terms(sig, u, v, q)
-            if w is None:
-                continue
-            s, counts = w
-            m = 1
-            for a, b in counts.values():
-                g = gaussian_moment(a, b)
-                if g == 0:
-                    m = 0
-                    break
-                m *= g
-            if m:
-                yield s * m
-
-    return math.fsum(terms())
-
-
-def exact_trace_moment_by_shape(profile: VarianceProfile, q: int) -> float:
-    """Same moment, evaluated by grouping cycles with a common shape.
-
-    Each shape's Gaussian-moment product is computed once and multiplied by
-    the sum of sigma products over its cycles; agreement with the per-cycle
-    route checks the grouping identity the expansion relies on.
-    """
-    _guard_enumeration(profile.p1, profile.p2, q)
-    sig = _sigma_rows(profile)
-    sums: dict[tuple, list[float]] = {}
-    moments: dict[tuple, int] = {}
-    for u, v in _iter_raw(profile.p1, profile.p2, q):
-        w = _cycle_weight_terms(sig, u, v, q)
-        if w is None:
-            continue
-        s, _ = w
-        shape = shape_of(BipartiteCycle(u, v))
-        key = (shape.canonical.u, shape.canonical.v)
-        if key not in moments:
-            m = 1
-            for (a, b), count in shape.m_ab:
-                m *= gaussian_moment(a, b) ** count
-            moments[key] = m
-        if moments[key]:
-            sums.setdefault(key, []).append(s)
-    return math.fsum(moments[key] * math.fsum(vals) for key, vals in sums.items())
+    return _trace_moment(q, profile.p1, profile.p2, profile.sigma)
 
 
 def exact_deleted_diagonal_trace_moment(profile: VarianceProfile, q: int) -> float:
     """Exact E tr{(D(ZZ'))^q} where D zeroes the diagonal of the (uncentered) Gram.
 
-    Only cycles with u_k != u_{k+1} at every step contribute, and the edge
-    factors are plain Gaussian moments E G^alpha = (alpha-1)!!.
+    Only shapes with u_k != u_{k+1} at every step contribute; they have no
+    back-and-forth step, so the edge factors are E G^alpha = (alpha-1)!!.
     """
-    _guard_enumeration(profile.p1, profile.p2, q)
-    if profile.p1 == 1:
-        return 0.0
-    sig = _sigma_rows(profile)
-
-    def terms():
-        for u in product(range(profile.p1), repeat=q):
-            if any(u[k] == u[(k + 1) % q] for k in range(q)):
-                continue
-            for v in product(range(profile.p2), repeat=q):
-                s = 1.0
-                for k in range(q):
-                    s *= sig[u[k]][v[k]] * sig[u[(k + 1) % q]][v[k]]
-                    if s == 0.0:
-                        break
-                if s == 0.0:
-                    continue
-                counts: dict[tuple[int, int], int] = {}
-                for k in range(q):
-                    for edge in ((u[k], v[k]), (u[(k + 1) % q], v[k])):
-                        counts[edge] = counts.get(edge, 0) + 1
-                m = 1
-                for a in counts.values():
-                    if a % 2 == 1:
-                        m = 0
-                        break
-                    m *= double_factorial(a - 1)
-                if m:
-                    yield s * m
-
-    return math.fsum(terms())
+    return _trace_moment(q, profile.p1, profile.p2, profile.sigma, deleted=True)
 
 
 @dataclass(frozen=True)
 class ComparisonResult:
+    """Both sides of a comparison and whether lhs <= rhs holds up to roundoff.
+
+    ``cycles_enumerated`` counts the bipartite cycles (p1 p2)^q covered on
+    both sides, the size of the expansion the check verifies; the shape engine
+    sums far fewer terms.
+    """
+
     lhs: float
     rhs: float
     holds: bool
     cycles_enumerated: int
-
-
-def _ones_profile(m1: int, m2: int) -> VarianceProfile:
-    return VarianceProfile(np.ones((m1, m2)))
-
-
-@lru_cache(maxsize=128)
-def _ones_trace_moment(m1: int, m2: int, q: int) -> float:
-    return exact_trace_moment(_ones_profile(m1, m2), q)
-
-
-@lru_cache(maxsize=128)
-def _ones_deleted_trace_moment(p1: int, m: int, q: int) -> float:
-    return exact_deleted_diagonal_trace_moment(_ones_profile(p1, m), q)
 
 
 def check_gaussian_comparison(profile: VarianceProfile, q: int) -> ComparisonResult:
@@ -429,9 +409,9 @@ def check_gaussian_comparison(profile: VarianceProfile, q: int) -> ComparisonRes
     m2 = _ceil_tol(float(var.sum(axis=1).max())) + q - 1
     m1 = max(m1, 1)
     m2 = max(m2, 1)
-    n_cycles = _guard_enumeration(profile.p1, profile.p2, q) + _guard_enumeration(m1, m2, q)
+    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(m1, m2, q)
     lhs = exact_trace_moment(profile, q)
-    rhs = min(profile.p1 / m1, profile.p2 / m2) * _ones_trace_moment(m1, m2, q)
+    rhs = min(profile.p1 / m1, profile.p2 / m2) * _trace_moment(q, m1, m2)
     return ComparisonResult(lhs, rhs, lhs <= rhs * (1.0 + _COMPARISON_SLACK), n_cycles)
 
 
@@ -452,9 +432,7 @@ def check_variance_contraction(profile: VarianceProfile, q: int) -> ComparisonRe
     the exact oracle).
     """
     merged = merge_last_rows(profile)
-    n_cycles = _guard_enumeration(profile.p1, profile.p2, q) + _guard_enumeration(
-        merged.p1, merged.p2, q
-    )
+    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(merged.p1, merged.p2, q)
     lhs = exact_trace_moment(profile, q)
     rhs = exact_trace_moment(merged, q)
     return ComparisonResult(lhs, rhs, lhs <= rhs * (1.0 + _COMPARISON_SLACK), n_cycles)
@@ -473,11 +451,9 @@ def check_diagonal_deletion(profile: VarianceProfile, q: int) -> ComparisonResul
         raise ParameterError("diagonal-deletion comparison requires sigma_* <= 1")
     col_bounds = profile.sigma.max(axis=0)
     m = max(1, _ceil_tol(float(np.sum(col_bounds**4))) + q - 1)
-    n_cycles = _guard_enumeration(profile.p1, profile.p2, q) + _guard_enumeration(
-        profile.p1, m, q
-    )
+    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(profile.p1, m, q)
     lhs = exact_deleted_diagonal_trace_moment(profile, q)
-    rhs = _ones_deleted_trace_moment(profile.p1, m, q)
+    rhs = _trace_moment(q, profile.p1, m, deleted=True)
     return ComparisonResult(lhs, rhs, lhs <= rhs * (1.0 + _COMPARISON_SLACK), n_cycles)
 
 

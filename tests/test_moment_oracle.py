@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from hetwishart import (
     enumerate_cycles,
     exact_deleted_diagonal_trace_moment,
     exact_trace_moment,
-    exact_trace_moment_by_shape,
     gaussian_moment,
     heavy_tail_moment,
     homoskedastic_rows,
@@ -190,13 +191,6 @@ def test_enumeration_guard_names_count():
         list(enumerate_cycles(50, 50, 4))
 
 
-def test_enumerate_cycles_partition_by_first_left():
-    full = set(enumerate_cycles(2, 2, 2))
-    parts = [set(enumerate_cycles(2, 2, 2, first_left=u)) for u in range(2)]
-    assert full == parts[0] | parts[1]
-    assert not parts[0] & parts[1]
-
-
 # ---------------------------------------------------------------- trace moments
 
 
@@ -259,33 +253,74 @@ def test_exact_trace_moment_matches_monte_carlo():
         assert abs(exact_trace_moment(prof, q) - mc_mean) <= 4 * mc_se
 
 
-def test_partitioned_enumeration_agrees():
-    rng = np.random.default_rng(7)
-    prof = VarianceProfile(rng.uniform(0, 1, size=(3, 2)))
-    full = exact_trace_moment(prof, 3)
-    partial = math.fsum(exact_trace_moment(prof, 3, first_left=u) for u in range(3))
-    assert partial == pytest.approx(full, rel=1e-12)
+def _per_cycle_moment(profile, q, deleted=False):
+    """Reference: the cycle expansion summed cycle by cycle.
+
+    deleted=True gives E tr{(D(ZZ'))^q}: only cycles with u_k != u_{k+1} at
+    every step, which have no back-and-forth edges.
+    """
+    sig = profile.sigma.tolist()
+    terms = []
+    for cycle in enumerate_cycles(profile.p1, profile.p2, q):
+        u, v = cycle.u, cycle.v
+        if deleted and any(u[k] == u[(k + 1) % q] for k in range(q)):
+            continue
+        s = 1.0
+        for k in range(q):
+            s *= sig[u[k]][v[k]] * sig[u[(k + 1) % q]][v[k]]
+        stats = edge_statistics(cycle)
+        m = 1
+        for edge in set(stats.alpha) | set(stats.beta):
+            m *= gaussian_moment(stats.alpha.get(edge, 0), stats.beta.get(edge, 0))
+        terms.append(s * m)
+    return math.fsum(terms)
 
 
 def test_shape_grouped_evaluation_matches_exactly_on_dyadic_grid():
     # entries in {0, 1/2, 1}: all products and sums are exact in binary
-    values = [0.0, 0.5, 1.0]
-    for a in values:
-        for b in values:
-            for c in values:
-                for d in values:
-                    prof = VarianceProfile(np.array([[a, b], [c, d]]))
-                    for q in (2, 3):
-                        assert exact_trace_moment_by_shape(prof, q) == exact_trace_moment(prof, q)
+    for entries in product([0.0, 0.5, 1.0], repeat=4):
+        prof = VarianceProfile(np.array(entries).reshape(2, 2))
+        for q in (2, 3):
+            assert exact_trace_moment(prof, q) == _per_cycle_moment(prof, q)
+            assert exact_deleted_diagonal_trace_moment(prof, q) == _per_cycle_moment(
+                prof, q, deleted=True
+            )
 
 
 def test_shape_grouped_evaluation_matches_on_random_profiles():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        prof = VarianceProfile(rng.uniform(0, 1, size=(2, 3)))
-        direct = exact_trace_moment(prof, 2)
-        grouped = exact_trace_moment_by_shape(prof, 2)
-        assert grouped == pytest.approx(direct, rel=1e-12)
+    for p1, p2, q in product((1, 2, 3), (1, 2, 3), (1, 2, 3, 4)):
+        prof = VarianceProfile(rng.uniform(0, 1, size=(p1, p2)))
+        for deleted, engine in ((False, exact_trace_moment), (True, exact_deleted_diagonal_trace_moment)):
+            want = _per_cycle_moment(prof, q, deleted)
+            assert engine(prof, q) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_all_ones_moments_beyond_the_cycle_guard():
+    # (m1 m2)^2 cycles exceed ENUMERATION_GUARD from 100 x 100 on; the all-ones
+    # route sums a few shapes with falling factorials, exactly
+    for m1, m2 in [(1, 200), (200, 1), (150, 199), (200, 200)]:
+        closed = m1 * (m1 - 1) * m2 + 2 * m1 * m2
+        assert exact_trace_moment(VarianceProfile(np.ones((m1, m2))), 2) == closed
+    # rhs of the comparison: m1 = m2 = 199 + q - 1 = 200
+    res = check_gaussian_comparison(VarianceProfile(np.ones((199, 199))), 2)
+    assert res.rhs == (199 / 200) * (200 * 199 * 200 + 2 * 200 * 200)
+    assert res.lhs == 199 * 198 * 199 + 2 * 199 * 199
+    assert res.holds and res.cycles_enumerated == (199 * 199) ** 2 + (200 * 200) ** 2
+
+
+def test_general_profile_memory_is_bounded_by_the_block():
+    # the 12 x 12, q = 4 moment sums shapes of up to 12*11*10 * 12*11 labelings;
+    # summed in one block the evaluation peaks near 15 MB, in _BLOCK blocks near 2.4 MB
+    prof = VarianceProfile(np.random.default_rng(4).uniform(0.5, 1.0, size=(12, 12)))
+    exact_trace_moment(VarianceProfile(np.full((2, 2), 0.5)), 4)  # warm the shape cache
+    tracemalloc.start()
+    try:
+        exact_trace_moment(prof, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 def test_deleted_diagonal_trace_moment():
