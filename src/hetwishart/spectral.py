@@ -1,4 +1,5 @@
-"""Centered Gram matrices and operators, spectral norms, exact trace powers."""
+"""Centered Gram matrices and operators, spectral norms, the certified Lanczos
+eigenpair that spectral norms and clustering share, exact trace powers."""
 
 from __future__ import annotations
 
@@ -73,6 +74,25 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
+def _certified_lanczos_pair(
+    op: np.ndarray | scipy.sparse.linalg.LinearOperator, tol: float
+) -> tuple[float, np.ndarray] | None:
+    """The eigenpair (lam, v) of largest |lam| from one Lanczos solve (``eigsh``,
+    k=1, which="LM", start vector 1/sqrt(n)) on the symmetric op, or None when
+    ARPACK fails or the residual certificate ||op v - lam v|| <= tol |lam|,
+    lam != 0, does not hold.  Callers fall back to a dense solver on None."""
+    n = op.shape[0]
+    v0 = np.full(n, 1.0 / np.sqrt(n))
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LM", v0=v0, tol=tol)
+    except scipy.sparse.linalg.ArpackError:
+        return None
+    lam, vec = float(vals[0]), vecs[:, 0]
+    if lam != 0.0 and np.linalg.norm(op @ vec - lam * vec) <= tol * abs(lam):
+        return lam, vec
+    return None
+
+
 def spectral_norm(
     A: np.ndarray | scipy.sparse.linalg.LinearOperator, tol: float = 1e-8
 ) -> float:
@@ -96,15 +116,9 @@ def spectral_norm(
     if n == 0:
         return 0.0
     if n > DENSE_CUTOFF:
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LM", v0=v0, tol=tol)
-        except scipy.sparse.linalg.ArpackError:
-            pass
-        else:
-            lam, vec = float(vals[0]), vecs[:, 0]
-            if lam != 0.0 and np.linalg.norm(op @ vec - lam * vec) <= tol * abs(lam):
-                return abs(lam)
+        pair = _certified_lanczos_pair(op, tol)
+        if pair is not None:
+            return abs(pair[0])
     # small, or not certified: the dense route is exact up to machine precision
     try:
         return float(np.abs(np.linalg.eigvalsh(op.toarray() if matrix_free else op)).max())

@@ -13,6 +13,7 @@ from hetwishart import (
     ParameterError,
     SampleSeed,
     VarianceProfile,
+    clustering_rates,
     estimate_concentration,
     generate_mixture,
     misclassification,
@@ -21,6 +22,7 @@ from hetwishart import (
     spectral_cluster,
     tail_empirics,
 )
+from hetwishart import experiments
 from hetwishart.experiments import (
     concentration_norms,
     evaluate_bound,
@@ -28,6 +30,8 @@ from hetwishart.experiments import (
     sweep_rows_to_csv,
 )
 from hetwishart.profiles import homoskedastic_rows
+from hetwishart.samplers import generator
+from hetwishart.spectral import DENSE_CUTOFF
 
 
 def test_estimate_zero_profile():
@@ -143,6 +147,22 @@ def test_generate_mixture_exact_and_reproducible():
     assert np.array_equal(Y1, Y2)
 
 
+def test_generate_mixture_is_bitwise_the_out_of_place_sum():
+    rng = np.random.default_rng(4)
+    n, p = 30, 17
+    labels = rng.choice([-1, 1], size=n)
+    mu = rng.standard_normal(p)
+    sigmas = rng.uniform(0.0, 2.0, p)
+    sigmas[3] = 0.0
+    inst = ClusteringInstance(n=n, p=p, mu=mu, labels=labels, sigmas=sigmas)
+    seed = SampleSeed(9, 2)
+    expected = (
+        labels[:, None] * mu[None, :]
+        + generator(seed).standard_normal((n, p)) * sigmas[None, :]
+    )
+    assert generate_mixture(inst, seed).tobytes() == expected.tobytes()
+
+
 def test_mixture_pure_noise_column_variances():
     p = 5
     sigmas = np.array([0.5, 1.0, 1.5, 2.0, 0.25])
@@ -168,11 +188,54 @@ def test_spectral_cluster_recovers_noiseless_labels():
     assert set(two) == {-1, 1}
 
 
-def test_spectral_cluster_outputs_signs():
+def _count_lanczos_solves(monkeypatch) -> list:
+    """Record the result of every certified Lanczos solve spectral_cluster makes."""
+    results = []
+    solve = experiments._certified_lanczos_pair
+
+    def counted(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "_certified_lanczos_pair", counted)
+    return results
+
+
+def test_spectral_cluster_outputs_signs(monkeypatch):
     out = spectral_cluster(np.zeros((3, 2)))
     assert set(np.unique(out)) <= {-1, 1}
+    # a zero Y above the cutoff: ARPACK rejects it and the dense route gives all +1
+    solves = _count_lanczos_solves(monkeypatch)
+    assert spectral_cluster(np.zeros((DENSE_CUTOFF + 8, 3))).tolist() == [1] * (DENSE_CUTOFF + 8)
+    assert solves == [None]
     with pytest.raises(ParameterError):
         spectral_cluster(np.zeros((1, 5)))
+
+
+def _mixture(n, p, lam_over_threshold, seed):
+    """Mixture with sigmas uniform on [0.5, 1.5] and ||mu|| a multiple of the SNR threshold."""
+    rng = np.random.default_rng(seed)
+    sigmas = rng.uniform(0.5, 1.5, p)
+    threshold = clustering_rates(1.0, n, sigmas.max(), np.sum(sigmas**4) ** 0.25).snr_threshold
+    mu = np.zeros(p)
+    mu[0] = lam_over_threshold * threshold
+    labels = rng.choice([-1, 1], size=n)
+    instance = ClusteringInstance(n=n, p=p, mu=mu, labels=labels, sigmas=sigmas)
+    return generate_mixture(instance, SampleSeed(seed, 0))
+
+
+@pytest.mark.parametrize(
+    "n, p, lam_over_threshold, seed",
+    [(DENSE_CUTOFF + 1, 50, 2.0, 0), (400, 1000, 0.5, 1), (400, 1000, 0.5, 2), (400, 1000, 0.5, 3)],
+    ids=["cutoff_plus_one", "below_threshold_1", "below_threshold_2", "below_threshold_3"],
+)
+def test_spectral_cluster_lanczos_matches_dense_eigh(monkeypatch, n, p, lam_over_threshold, seed):
+    Y = _mixture(n, p, lam_over_threshold, seed)
+    dense = np.where(np.linalg.eigh(Y @ Y.T)[1][:, -1] >= 0.0, 1, -1)
+    solves = _count_lanczos_solves(monkeypatch)
+    found = spectral_cluster(Y)
+    assert len(solves) == 1 and solves[0] is not None  # certified, not the fallback
+    assert np.array_equal(found, dense) or np.array_equal(found, -dense)
 
 
 def test_misclassification_examples():
@@ -200,18 +263,21 @@ def test_misclassification_invariances(raw, pyrandom):
     assert misclassification(l[perm], lhat[perm]) == base
 
 
-def test_phase_diagram_smoke():
+@pytest.mark.parametrize(
+    "n, p", [(40, 20), (DENSE_CUTOFF + 32, 60)], ids=["dense", "lanczos"]
+)
+def test_phase_diagram_smoke(n, p):
     rows, threshold = phase_diagram(
-        n=40, p=20, sigmas=np.ones(20), lambda_grid=[0.05, 6.0], n_reps=6, master_seed=55
+        n=n, p=p, sigmas=np.ones(p), lambda_grid=[0.05, 6.0], n_reps=6, master_seed=55
     )
-    assert threshold == pytest.approx(max(1.0, (20 / 40) ** 0.25))
+    assert threshold == pytest.approx(max(1.0, (p / n) ** 0.25))
     assert rows[1].mean_misclassification < rows[0].mean_misclassification
     assert rows[1].mean_misclassification < 0.05
 
     csv_text = phase_rows_to_csv(rows, threshold)
     assert csv_text.splitlines()[0].startswith("lambda,")
     rows_again, _ = phase_diagram(
-        n=40, p=20, sigmas=np.ones(20), lambda_grid=[0.05, 6.0], n_reps=6, master_seed=55,
+        n=n, p=p, sigmas=np.ones(p), lambda_grid=[0.05, 6.0], n_reps=6, master_seed=55,
         threads=3,
     )
     assert rows == rows_again

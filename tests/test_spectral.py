@@ -18,7 +18,7 @@ from hetwishart import (
     spectral_norm,
     trace_power,
 )
-from hetwishart.experiments import concentration_norms
+from hetwishart.experiments import concentration_norms, spectral_cluster
 from hetwishart.spectral import DENSE_CUTOFF
 
 
@@ -180,6 +180,10 @@ def _uncertified_eigenpair(A, **kwargs):
 @pytest.mark.parametrize("fake_eigsh", [_raise_arpack_error, _uncertified_eigenpair])
 def test_dense_fallback_when_lanczos_is_not_certified(monkeypatch, fake_eigsh):
     A, op, dense = _fallback_inputs()
+    Y = np.random.default_rng(8).standard_normal((DENSE_CUTOFF + 40, 30))
+    Y[:, 0] += np.where(np.arange(Y.shape[0]) % 2 == 0, 2.0, -2.0)
+    gram = Y @ Y.T
+    signs = np.where(np.linalg.eigh((gram + gram.T) / 2.0)[1][:, -1] >= 0.0, 1, -1)
     calls = []
 
     def eigsh(*args, **kwargs):
@@ -189,7 +193,8 @@ def test_dense_fallback_when_lanczos_is_not_certified(monkeypatch, fake_eigsh):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
     assert spectral_norm(A) == dense
     assert spectral_norm(op) == dense
-    assert len(calls) == 2
+    assert np.array_equal(spectral_cluster(Y), signs)
+    assert len(calls) == 3
 
 
 def test_replicate_memory_is_linear_in_the_sample():
