@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .profiles import ProfileSummary, VarianceProfile, summarize
+from .profiles import _REL_SLACK, ProfileSummary, VarianceProfile, summarize
 
 __all__ = [
     "BoundReport",
@@ -266,7 +266,7 @@ def lower_bound_rate(s: ProfileSummary, p1: int, p2: int) -> BoundReport:
     """
     if p1 < 1 or p2 < 1:
         raise ParameterError("p1 and p2 must be >= 1")
-    slack = 1.0 + 1e-12
+    slack = 1.0 + _REL_SLACK
     if s.sigma_star > min(s.sigma_C, s.sigma_R) * slack:
         raise ParameterError("inadmissible: sigma_star > min(sigma_C, sigma_R)")
     if s.sigma_star * slack < max(s.sigma_C / math.sqrt(p1), s.sigma_R / math.sqrt(p2)):

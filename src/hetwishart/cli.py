@@ -188,39 +188,67 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _resolve_family(family: dict, master_seed: int) -> list[tuple[str, profiles.VarianceProfile]]:
-    kind = family.get("kind")
-    family_seed = samplers.derive_seed(master_seed, _SALT_FAMILY)
-    out: list[tuple[str, profiles.VarianceProfile]] = []
-    if kind == "list":
-        for entry in family["profiles"]:
-            prof = profiles.profile_from_json(json.dumps(entry["profile"]))
-            out.append((str(entry.get("name", f"profile{len(out)}")), prof))
-        return out
-    if kind == "random_uniform":
-        count = int(family["count"])
-        p1_lo, p1_hi = int(family.get("p1_min", 2)), int(family["p1_max"])
-        p2_lo, p2_hi = int(family.get("p2_min", 2)), int(family["p2_max"])
-        lo, hi = float(family.get("sigma_min", 0.0)), float(family.get("sigma_max", 1.0))
-        for k in range(count):
-            rng = samplers.generator(samplers.SampleSeed(family_seed, k))
-            p1 = int(rng.integers(p1_lo, p1_hi + 1))
-            p2 = int(rng.integers(p2_lo, p2_hi + 1))
-            sigma = rng.uniform(lo, hi, size=(p1, p2))
-            out.append((f"random{k}", profiles.VarianceProfile(sigma)))
-        return out
-    if kind in ("homoskedastic_rows_grid", "homoskedastic_columns_grid"):
-        rows = kind == "homoskedastic_rows_grid"
-        grid = [int(v) for v in (family["p1_grid"] if rows else family["p2_grid"])]
-        other = int(family["p2"] if rows else family["p1"])
+_NamedProfiles = list[tuple[str, profiles.VarianceProfile]]
+
+
+def _listed_profiles(family: dict, family_seed: int) -> _NamedProfiles:
+    out = []
+    for entry in family["profiles"]:
+        prof = profiles.profile_from_json(json.dumps(entry["profile"]))
+        out.append((str(entry.get("name", f"profile{len(out)}")), prof))
+    return out
+
+
+def _random_uniform_profiles(family: dict, family_seed: int) -> _NamedProfiles:
+    count = int(family["count"])
+    p1_lo, p1_hi = int(family.get("p1_min", 2)), int(family["p1_max"])
+    p2_lo, p2_hi = int(family.get("p2_min", 2)), int(family["p2_max"])
+    lo, hi = float(family.get("sigma_min", 0.0)), float(family.get("sigma_max", 1.0))
+    out = []
+    for k in range(count):
+        rng = samplers.generator(samplers.SampleSeed(family_seed, k))
+        p1 = int(rng.integers(p1_lo, p1_hi + 1))
+        p2 = int(rng.integers(p2_lo, p2_hi + 1))
+        sigma = rng.uniform(lo, hi, size=(p1, p2))
+        out.append((f"random{k}", profiles.VarianceProfile(sigma)))
+    return out
+
+
+def _homoskedastic_grid(rows: bool):
+    """Builder of one homoskedastic profile per grid dimension, named
+    rows{p1} (over "p1_grid", with "p2") or columns{p2} (over "p2_grid", with "p1")."""
+    label, grid_key, other_key = ("rows", "p1_grid", "p2") if rows else ("columns", "p2_grid", "p1")
+
+    def build(family: dict, family_seed: int) -> _NamedProfiles:
         make = profiles.homoskedastic_rows if rows else profiles.homoskedastic_columns
+        grid = [int(v) for v in family[grid_key]]
+        other = int(family[other_key])
         lo, hi = float(family.get("sigma_min", 0.5)), float(family.get("sigma_max", 1.5))
+        out = []
         for k, dim in enumerate(grid):
             rng = samplers.generator(samplers.SampleSeed(family_seed, k))
-            prof = make(rng.uniform(lo, hi, size=dim), other)
-            out.append((f"{'rows' if rows else 'columns'}{dim}", prof))
+            out.append((f"{label}{dim}", make(rng.uniform(lo, hi, size=dim), other)))
         return out
-    raise ParameterError(f"unknown profile family kind {kind!r}")
+
+    return build
+
+
+# sweep family "kind" -> builder of the (name, profile) list from the family
+# object and the family seed
+_FAMILIES = {
+    "list": _listed_profiles,
+    "random_uniform": _random_uniform_profiles,
+    "homoskedastic_rows_grid": _homoskedastic_grid(rows=True),
+    "homoskedastic_columns_grid": _homoskedastic_grid(rows=False),
+}
+
+
+def _resolve_family(family: dict, master_seed: int) -> _NamedProfiles:
+    kind = family.get("kind")
+    build = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise ParameterError(f"unknown profile family kind {kind!r}; expected one of {sorted(_FAMILIES)}")
+    return build(family, samplers.derive_seed(master_seed, _SALT_FAMILY))
 
 
 def cmd_sweep(args) -> int:

@@ -212,6 +212,31 @@ def profile_to_json(profile: VarianceProfile) -> str:
     return json.dumps(payload)
 
 
+def _lower_bound_from_json(payload: dict) -> VarianceProfile:
+    params = payload["params"]
+    return lower_bound_profile(
+        payload["variant"],
+        sigma_star=float(params["sigma_star"]),
+        sigma_C=float(params["sigma_C"]),
+        sigma_R=float(params["sigma_R"]),
+        p1=int(params["p1"]),
+        p2=int(params["p2"]),
+    )
+
+
+# profile JSON "kind" -> builder of the grid from the parsed JSON object
+_PROFILE_KINDS = {
+    "explicit": lambda payload: VarianceProfile(np.asarray(payload["sigma"], dtype=float)),
+    "homoskedastic_rows": lambda payload: homoskedastic_rows(
+        payload["sigmas"], int(payload["other_dim"])
+    ),
+    "homoskedastic_columns": lambda payload: homoskedastic_columns(
+        payload["sigmas"], int(payload["other_dim"])
+    ),
+    "lower_bound": _lower_bound_from_json,
+}
+
+
 def profile_from_json(text: str) -> VarianceProfile:
     """Parse any of the accepted profile JSON forms into a concrete grid.
 
@@ -225,26 +250,13 @@ def profile_from_json(text: str) -> VarianceProfile:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ParameterError('profile JSON must be an object with a "kind" field')
     kind = payload["kind"]
+    build = _PROFILE_KINDS.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise ParameterError(f"unknown profile kind {kind!r}; expected one of {sorted(_PROFILE_KINDS)}")
     try:
-        if kind == "explicit":
-            return VarianceProfile(np.asarray(payload["sigma"], dtype=float))
-        if kind == "homoskedastic_rows":
-            return homoskedastic_rows(payload["sigmas"], int(payload["other_dim"]))
-        if kind == "homoskedastic_columns":
-            return homoskedastic_columns(payload["sigmas"], int(payload["other_dim"]))
-        if kind == "lower_bound":
-            params = payload["params"]
-            return lower_bound_profile(
-                payload["variant"],
-                sigma_star=float(params["sigma_star"]),
-                sigma_C=float(params["sigma_C"]),
-                sigma_R=float(params["sigma_R"]),
-                p1=int(params["p1"]),
-                p2=int(params["p2"]),
-            )
+        return build(payload)
     except KeyError as exc:
         raise ParameterError(f"profile JSON missing field {exc}") from exc
-    raise ParameterError(f"unknown profile kind {kind!r}")
 
 
 def load_profile(path) -> VarianceProfile:

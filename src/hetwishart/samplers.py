@@ -237,10 +237,8 @@ class HeavyTail(NoiseModel):
         s = heavy_tail_scale(b)
         qs = np.exp(np.linspace(0.0, math.log(400.0), 2000))
         # log E|W|^q = log E|G|^q + log E|H|^((b-1)q), both Gamma expressions
-        from scipy.special import gammaln
-
         def log_abs_moment(q):
-            return q / 2.0 * math.log(2.0) + gammaln((q + 1.0) / 2.0) - gammaln(0.5)
+            return q / 2.0 * math.log(2.0) + math.lgamma((q + 1.0) / 2.0) - math.lgamma(0.5)
 
         vals = [
             math.exp((log_abs_moment(q) + log_abs_moment((b - 1.0) * q)) / q - math.log(s))

@@ -4,7 +4,6 @@ eigenpair that spectral norms and clustering share, exact trace powers."""
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import ContractError, NumericalError, ParameterError
 from .profiles import VarianceProfile
@@ -20,23 +19,22 @@ __all__ = ["DENSE_CUTOFF", "centered_gram", "centered_operator", "spectral_norm"
 DENSE_CUTOFF = 128
 
 
-class _CenteredOperator(scipy.sparse.linalg.LinearOperator):
-    """v -> Z(Z'v) - d*v: O(p1 p2) time per product and no p1 x p1 array."""
+class _CenteredOperator:
+    """v -> Z(Z'v) - d*v: O(p1 p2) time per product and no p1 x p1 array.
+    ``eigsh`` takes it as is: ``aslinearoperator`` asks only shape and matvec."""
+
+    dtype = np.dtype(np.float64)
 
     def __init__(self, Z: np.ndarray, d: np.ndarray):
-        super().__init__(dtype=np.float64, shape=(Z.shape[0], Z.shape[0]))
+        self.shape = (Z.shape[0], Z.shape[0])
         self.Z = Z
         self.d = d
 
-    def _matvec(self, v):
-        v = v.ravel()
-        return self.Z @ (self.Z.T @ v) - self.d * v
+    def matvec(self, X: np.ndarray) -> np.ndarray:
+        d = self.d if X.ndim == 1 else self.d[:, None]
+        return self.Z @ (self.Z.T @ X) - d * X
 
-    def _matmat(self, X):
-        return self.Z @ (self.Z.T @ X) - self.d[:, None] * X
-
-    def _adjoint(self):
-        return self
+    __matmul__ = matmat = matvec
 
     def toarray(self) -> np.ndarray:
         """The p1 x p1 matrix, explicitly symmetrized."""
@@ -47,10 +45,10 @@ class _CenteredOperator(scipy.sparse.linalg.LinearOperator):
 
 def centered_operator(
     Z: np.ndarray, profile: VarianceProfile, model: NoiseModel
-) -> scipy.sparse.linalg.LinearOperator:
-    """ZZ' - E ZZ' as a symmetric LinearOperator, never formed: the same
-    matrix as ``centered_gram`` in O(p1 p2) memory.  E ZZ' = diag(d) with d
-    the row sums of the entry variances."""
+) -> _CenteredOperator:
+    """ZZ' - E ZZ' as a plain symmetric operator (``shape``, ``@``, ``matvec``,
+    ``toarray``), never formed: the same matrix as ``centered_gram`` in
+    O(p1 p2) memory.  E ZZ' = diag(d), d the row sums of the entry variances."""
     Z = np.asarray(Z, dtype=float)
     if Z.shape != profile.shape:
         raise ParameterError(f"Z shape {Z.shape} does not match profile shape {profile.shape}")
@@ -75,12 +73,15 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
 
 
 def _certified_lanczos_pair(
-    op: np.ndarray | scipy.sparse.linalg.LinearOperator, tol: float
+    op: np.ndarray | _CenteredOperator, tol: float
 ) -> tuple[float, np.ndarray] | None:
     """The eigenpair (lam, v) of largest |lam| from one Lanczos solve (``eigsh``,
     k=1, which="LM", start vector 1/sqrt(n)) on the symmetric op, or None when
     ARPACK fails or the residual certificate ||op v - lam v|| <= tol |lam|,
-    lam != 0, does not hold.  Callers fall back to a dense solver on None."""
+    lam != 0, does not hold.  Callers fall back to a dense solver on None.
+    The package's one scipy import: scipy loads on the first solve only."""
+    import scipy.sparse.linalg
+
     n = op.shape[0]
     v0 = np.full(n, 1.0 / np.sqrt(n))
     try:
@@ -93,9 +94,7 @@ def _certified_lanczos_pair(
     return None
 
 
-def spectral_norm(
-    A: np.ndarray | scipy.sparse.linalg.LinearOperator, tol: float = 1e-8
-) -> float:
+def spectral_norm(A: np.ndarray | _CenteredOperator, tol: float = 1e-8) -> float:
     """Largest absolute eigenvalue of a symmetric matrix.
 
     A is a symmetric ndarray (asymmetry beyond 1e-9 relative is rejected) or
@@ -106,7 +105,7 @@ def spectral_norm(
     returned only under the residual certificate ||Av - lam v|| <= tol |lam|.
     If ARPACK fails or the certificate does not hold, the dense value is
     returned instead; that fallback is the only place an operator is formed
-    above the cutoff.
+    above the cutoff.  Only that Lanczos solve loads scipy.
     """
     if not 0.0 < tol <= 1e-2:
         raise ParameterError("tol must lie in (0, 1e-2]")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hetwishart import (
 )
 from hetwishart.bounds import _FAMILY_ALIASES, BOUNDS
 from hetwishart.cli import VERSION_TABLE, main
+from hetwishart.spectral import DENSE_CUTOFF
 
 
 def write_profile(tmp_path, sigma, name="profile.json"):
@@ -273,3 +278,86 @@ def test_bad_input_exits_3_with_error_line(tmp_path, capsys, case):
     assert main(_bad_input_args(tmp_path)[case]) == 3
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("kind, grid_key, other_key, label", [
+    ("homoskedastic_rows_grid", "p1_grid", "p2", "rows"),
+    ("homoskedastic_columns_grid", "p2_grid", "p1", "columns"),
+])
+def test_sweep_over_a_homoskedastic_grid(tmp_path, capsys, kind, grid_key, other_key, label):
+    dims = [3, 5, 8]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "family": {"kind": kind, grid_key: dims, other_key: 4},
+        "reps": 2,
+    }))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0].split(",")[:3] == ["name", "p1", "p2"]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == [f"{label}{dim}" for dim in dims]
+    for r, dim in zip(rows, dims):
+        p1, p2 = (dim, 4) if label == "rows" else (4, dim)
+        assert (int(r[1]), int(r[2])) == (p1, p2)
+
+
+PROFILE_KINDS = ("explicit", "homoskedastic_rows", "homoskedastic_columns", "lower_bound")
+FAMILY_KINDS = ("list", "random_uniform", "homoskedastic_rows_grid", "homoskedastic_columns_grid")
+
+
+def _unknown_kind_args(tmp_path, table):
+    if table == "profile":
+        bad = tmp_path / "bad_profile.json"
+        bad.write_text(json.dumps({"kind": "bogus", "sigma": [[1.0]]}))
+        return ["profile", "--in", str(bad)], PROFILE_KINDS
+    bad = tmp_path / "bad_sweep.json"
+    bad.write_text(json.dumps({"family": {"kind": "bogus"}, "reps": 2}))
+    return ["sweep", "--config", str(bad), "--seed", "1", "--out", str(tmp_path / "x.csv")], FAMILY_KINDS
+
+
+@pytest.mark.parametrize("table", ["profile", "family"])
+def test_unknown_kind_lists_the_known_ones(tmp_path, capsys, table):
+    argv, known = _unknown_kind_args(tmp_path, table)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "'bogus'" in err
+    for kind in known:
+        assert kind in err
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import hetwishart.cli
+else:
+    from hetwishart.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _scipy_free_argv(tmp_path, case):
+    path = write_profile(tmp_path, np.full((DENSE_CUTOFF, 10), 0.5))
+    return {
+        "import": None,
+        "oracle": ["oracle", "--check", "comparison", "--profile",
+                   write_profile(tmp_path, [[1.0, 0.5], [0.0, 1.0]], "small.json"), "--q", "2"],
+        "bound": ["bound", "--profile", path, "--id", "gaussian"],
+        "simulate_dense": ["simulate", "--profile", path, "--reps", "3", "--seed", "1"],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["import", "oracle", "bound", "simulate_dense"])
+def test_cli_runs_without_loading_scipy(tmp_path, case):
+    """Only the Lanczos solve above DENSE_CUTOFF imports scipy; the CLI's
+    import, the oracle, bounds and dense-route simulations never load it."""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    argv = json.dumps(_scipy_free_argv(tmp_path, case))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argv],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

@@ -150,6 +150,7 @@ def test_centered_operator_is_centered_gram():
     v = rng.standard_normal(7)
     assert np.allclose(op @ v, A @ v, rtol=1e-12, atol=1e-12)
     assert np.allclose(op @ np.eye(7), A, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(scipy.sparse.linalg.aslinearoperator(op) @ v, op @ v)
     with pytest.raises(ParameterError):
         centered_operator(np.zeros((5, 7)), profile, Gaussian())
 
