@@ -51,9 +51,10 @@ _SALT_SWEEP_ROW = 1 << 32
 _SALT_PHASE_LAMBDA = 2 << 32
 _SALT_NOISE = 3 << 32
 
-# Residual tolerance of spectral_cluster's Lanczos route.  The eigenvector
-# error is about residual / spectral gap; at 1e-8 that reached 3e-6 on
-# below-threshold 400 x 1000 mixtures, whose smallest |v_j| was 4.2e-7.
+# Residual tolerance of spectral_cluster's Lanczos route.  The certificate
+# bounds the eigenvector error by about tol |lam| / spectral gap, and only
+# that bound is guaranteed: an ARPACK solve at 1e-8 reached an error of 3e-6
+# on below-threshold 400 x 1000 mixtures whose smallest |v_j| was 4.2e-7.
 CLUSTER_TOL = 1e-12
 
 
@@ -276,13 +277,13 @@ def spectral_cluster(Y: np.ndarray) -> np.ndarray:
 
     Up to ``spectral.DENSE_CUTOFF`` rows the vector is the last column of the
     dense ``eigh``.  Above the cutoff it comes from the same certified Lanczos
-    solve as ``spectral_norm`` (``eigsh``, k=1, which="LM" on the formed YY';
-    YY' is positive semidefinite, so that is its top eigenpair), accepted only
+    solve as ``spectral_norm`` (largest |lam| on the formed YY'; YY' is
+    positive semidefinite, so that is its top eigenpair), accepted only
     under the residual certificate ||YY'v - lam v|| <= CLUSTER_TOL |lam| with
     lam != 0 and CLUSTER_TOL = 1e-12.  The tolerance is tight because the
     output is the sign of each coordinate and the error of v is about the
-    residual over the spectral gap.  If ARPACK fails (a zero Y, for one) or
-    the certificate does not hold, the dense ``eigh`` is the fallback.
+    residual over the spectral gap.  If the solve gives no certified pair
+    (a zero Y, for one, has lam = 0), the dense ``eigh`` is the fallback.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 2:

@@ -3,6 +3,8 @@ eigenpair that spectral norms and clustering share, exact trace powers."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, NumericalError, ParameterError
@@ -12,18 +14,26 @@ from .samplers import NoiseModel, entry_variances
 __all__ = ["DENSE_CUTOFF", "centered_gram", "centered_operator", "spectral_norm", "trace_power"]
 
 # Dense eigvalsh up to this many rows, one Lanczos solve above.  Measured per
-# replicate of spectral_norm(centered_operator(Z)), Gaussian Z, the two routes
-# interleaved, 2 CPUs, OpenBLAS thread variables unset.  Medians, dense vs
-# Lanczos: p1 x p1 at 100: 0.61 vs 0.88 ms, 128: 1.06 vs 1.16, 160: 1.35 vs
-# 1.22, 256: 3.8 vs 2.2; p1 x 20 crosses near 128 and p1 x 400 near 192.
+# replicate on centered_operator(Z), Gaussian Z, the two routes interleaved,
+# 2 CPUs, OpenBLAS thread variables unset.  Medians of 60, two runs, dense vs
+# Lanczos: p1 x p1 at 100: 0.57-0.69 vs 0.88-0.99 ms, 128: 0.87-1.00 vs
+# 0.99-1.30, 160: 1.35-1.39 vs 1.16-1.23, 256: 3.9-4.1 vs 2.0-2.2; p1 x 20
+# crosses between 96 (0.31 vs 0.38) and 128 (0.56 vs 0.40), p1 x 400 near 192.
 DENSE_CUTOFF = 128
+
+# Lanczos basis vectors kept before an explicit restart, and restarts allowed.
+_LANCZOS_BASIS = 128
+_LANCZOS_RESTARTS = 8
+# The Ritz estimate needs an eigh of the j x j tridiagonal T, whose cost grows
+# as j^3 (0.18 ms at j = 40, 1.7 ms at 128); every step would cost more than
+# the steps themselves, so it is taken every _RITZ_CHECK steps.
+_RITZ_CHECK = 5
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class _CenteredOperator:
     """v -> Z(Z'v) - d*v: O(p1 p2) time per product and no p1 x p1 array.
-    ``eigsh`` takes it as is: ``aslinearoperator`` asks only shape and matvec."""
-
-    dtype = np.dtype(np.float64)
+    The Lanczos solve asks only ``shape`` and ``@``; the dense route ``toarray``."""
 
     def __init__(self, Z: np.ndarray, d: np.ndarray):
         self.shape = (Z.shape[0], Z.shape[0])
@@ -34,7 +44,7 @@ class _CenteredOperator:
         d = self.d if X.ndim == 1 else self.d[:, None]
         return self.Z @ (self.Z.T @ X) - d * X
 
-    __matmul__ = matmat = matvec
+    __matmul__ = matvec
 
     def toarray(self) -> np.ndarray:
         """The p1 x p1 matrix, explicitly symmetrized."""
@@ -72,23 +82,58 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
+def _lanczos_run(
+    op: np.ndarray | _CenteredOperator, V: np.ndarray, tol: float
+) -> tuple[float, np.ndarray, bool]:
+    """Lanczos from the unit vector V[0] with full reorthogonalization (two
+    classical Gram-Schmidt passes per step), at most len(V) steps; V is
+    overwritten with the basis.  Returns the Ritz pair (theta, y) of largest
+    |theta| and whether it is final: its Ritz estimate beta_j |s_jk| is at
+    most tol |theta|, or the basis spans an invariant subspace (breakdown,
+    beta_j at roundoff level, or all n dimensions), where the pair is exact."""
+    m, n = V.shape
+    T = np.zeros((m, m))
+    t_norm = 0.0  # Gershgorin bound on ||T||
+    for j in range(m):
+        basis = V[: j + 1]
+        w = op @ basis[j]
+        for _ in range(2):
+            h = basis @ w
+            w -= h @ basis
+            T[j, j] += h[j]
+        beta = math.sqrt(w @ w)
+        t_norm = max(t_norm, abs(T[j, j]) + beta + (T[j, j - 1] if j else 0.0))
+        invariant = beta <= n * _EPS * t_norm or j + 1 == n
+        if invariant or j + 1 == m or (j + 1) % _RITZ_CHECK == 0:
+            thetas, S = np.linalg.eigh(T[: j + 1, : j + 1])
+            k = int(np.argmax(np.abs(thetas)))
+            final = invariant or beta * abs(S[j, k]) <= tol * abs(thetas[k])
+            if final:
+                break
+        if j + 1 < m:
+            V[j + 1] = w / beta
+            T[j, j + 1] = T[j + 1, j] = beta
+    return float(thetas[k]), S[:, k] @ basis, final
+
+
 def _certified_lanczos_pair(
     op: np.ndarray | _CenteredOperator, tol: float
 ) -> tuple[float, np.ndarray] | None:
-    """The eigenpair (lam, v) of largest |lam| from one Lanczos solve (``eigsh``,
-    k=1, which="LM", start vector 1/sqrt(n)) on the symmetric op, or None when
-    ARPACK fails or the residual certificate ||op v - lam v|| <= tol |lam|,
-    lam != 0, does not hold.  Callers fall back to a dense solver on None.
-    The package's one scipy import: scipy loads on the first solve only."""
-    import scipy.sparse.linalg
-
+    """The eigenpair (lam, v) of largest |lam| of the symmetric op from a
+    Lanczos solve (``_lanczos_run``) that starts from 1/sqrt(n), keeps at most
+    _LANCZOS_BASIS vectors and restarts from its Ritz vector at most
+    _LANCZOS_RESTARTS times.  The pair is returned only under the residual
+    certificate ||op v - lam v|| <= tol |lam| with lam != 0; otherwise None,
+    and callers fall back to a dense solver.  Memory is O(n _LANCZOS_BASIS)."""
     n = op.shape[0]
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LM", v0=v0, tol=tol)
-    except scipy.sparse.linalg.ArpackError:
-        return None
-    lam, vec = float(vals[0]), vecs[:, 0]
+    V = np.empty((min(n, _LANCZOS_BASIS), n))
+    V[0] = 1.0 / np.sqrt(n)
+    for _ in range(_LANCZOS_RESTARTS + 1):
+        lam, vec, final = _lanczos_run(op, V, tol)
+        vec /= np.linalg.norm(vec)
+        if final:
+            break
+        V[0] = vec
     if lam != 0.0 and np.linalg.norm(op @ vec - lam * vec) <= tol * abs(lam):
         return lam, vec
     return None
@@ -100,12 +145,12 @@ def spectral_norm(A: np.ndarray | _CenteredOperator, tol: float = 1e-8) -> float
     A is a symmetric ndarray (asymmetry beyond 1e-9 relative is rejected) or
     the operator ``centered_operator`` returns.  Up to DENSE_CUTOFF rows the
     value is the dense ``eigvalsh`` one, and an operator is formed once for
-    it.  Above the cutoff one Lanczos solve (``eigsh``, k=1, which="LM",
+    it.  Above the cutoff one Lanczos solve (``_certified_lanczos_pair``,
     fixed start vector) runs on A itself, and its eigenpair (lam, v) is
     returned only under the residual certificate ||Av - lam v|| <= tol |lam|.
-    If ARPACK fails or the certificate does not hold, the dense value is
-    returned instead; that fallback is the only place an operator is formed
-    above the cutoff.  Only that Lanczos solve loads scipy.
+    If the solve does not converge or the certificate does not hold, the
+    dense value is returned instead; that fallback is the only place an
+    operator is formed above the cutoff.
     """
     if not 0.0 < tol <= 1e-2:
         raise ParameterError("tol must lie in (0, 1e-2]")

@@ -343,21 +343,46 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 
 def _scipy_free_argv(tmp_path, case):
     path = write_profile(tmp_path, np.full((DENSE_CUTOFF, 10), 0.5))
+    tall = write_profile(tmp_path, np.full((DENSE_CUTOFF + 32, 10), 0.5), "tall.json")
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "family": {"kind": "homoskedastic_rows_grid", "p1_grid": [DENSE_CUTOFF + 32], "p2": 10},
+        "reps": 2,
+    }))
     return {
         "import": None,
         "oracle": ["oracle", "--check", "comparison", "--profile",
                    write_profile(tmp_path, [[1.0, 0.5], [0.0, 1.0]], "small.json"), "--q", "2"],
         "bound": ["bound", "--profile", path, "--id", "gaussian"],
         "simulate_dense": ["simulate", "--profile", path, "--reps", "3", "--seed", "1"],
+        "simulate_lanczos": ["simulate", "--profile", tall, "--reps", "3", "--seed", "1"],
+        "sweep_lanczos": ["sweep", "--config", str(sweep), "--seed", "1",
+                          "--out", str(tmp_path / "sweep.csv")],
+        "cluster_lanczos": ["cluster", "--n", str(DENSE_CUTOFF + 32), "--p", "40", "--reps", "2",
+                            "--lambdas", "0.5,4.0", "--seed", "1", "--out", str(tmp_path / "phase.csv")],
     }[case]
 
 
-@pytest.mark.parametrize("case", ["import", "oracle", "bound", "simulate_dense"])
+@pytest.mark.parametrize("case", ["import", "oracle", "bound", "simulate_dense", "simulate_lanczos",
+                                  "sweep_lanczos", "cluster_lanczos"])
 def test_cli_runs_without_loading_scipy(tmp_path, case):
-    """Only the Lanczos solve above DENSE_CUTOFF imports scipy; the CLI's
-    import, the oracle, bounds and dense-route simulations never load it."""
+    """No CLI run loads scipy: not the import, the oracle or bounds, and not
+    the simulations, sweeps and clustering on either side of DENSE_CUTOFF."""
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
     argv = json.dumps(_scipy_free_argv(tmp_path, case))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argv],
                           capture_output=True, text=True, env=env, check=True)
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_simulate_on_the_lanczos_route_is_thread_independent(tmp_path, capsys):
+    p1 = DENSE_CUTOFF + 32
+    path = write_profile(tmp_path, np.linspace(0.5, 1.5, p1 * 20).reshape(p1, 20))
+    outs = []
+    for threads in ("1", "3"):
+        assert main(["simulate", "--profile", path, "--reps", "6", "--seed", "4",
+                     "--threads", threads]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["config"].pop("threads") == int(threads)
+        outs.append(json.dumps(out))
+    assert outs[0] == outs[1]  # floats round-trip exactly through JSON

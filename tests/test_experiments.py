@@ -204,7 +204,8 @@ def _count_lanczos_solves(monkeypatch) -> list:
 def test_spectral_cluster_outputs_signs(monkeypatch):
     out = spectral_cluster(np.zeros((3, 2)))
     assert set(np.unique(out)) <= {-1, 1}
-    # a zero Y above the cutoff: ARPACK rejects it and the dense route gives all +1
+    # a zero Y above the cutoff: the solve breaks down at lam = 0, which the
+    # certificate rejects, and the dense route gives all +1
     solves = _count_lanczos_solves(monkeypatch)
     assert spectral_cluster(np.zeros((DENSE_CUTOFF + 8, 3))).tolist() == [1] * (DENSE_CUTOFF + 8)
     assert solves == [None]

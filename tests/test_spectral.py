@@ -18,8 +18,15 @@ from hetwishart import (
     spectral_norm,
     trace_power,
 )
-from hetwishart.experiments import concentration_norms, spectral_cluster
-from hetwishart.spectral import DENSE_CUTOFF
+from hetwishart import spectral
+from hetwishart.experiments import (
+    CLUSTER_TOL,
+    ClusteringInstance,
+    concentration_norms,
+    generate_mixture,
+    spectral_cluster,
+)
+from hetwishart.spectral import DENSE_CUTOFF, _certified_lanczos_pair
 
 
 def random_symmetric(rng, n):
@@ -167,19 +174,20 @@ def _fallback_inputs():
     return A, centered_operator(Z, profile, Gaussian()), float(np.abs(np.linalg.eigvalsh(A)).max())
 
 
-def _raise_arpack_error(A, **kwargs):
-    raise scipy.sparse.linalg.ArpackError(-9)
+def _never_converges(op, V, tol):
+    """A run that ends without a final Ritz pair: the start vector, unconverged."""
+    v = V[0].copy()
+    return float(v @ (op @ v)), v, False
 
 
-def _uncertified_eigenpair(A, **kwargs):
-    n = A.shape[0]
-    vec = np.zeros((n, 1))
-    vec[0, 0] = 1.0
-    return np.array([1.0]), vec  # ||A e_0 - e_0|| is far above tol * 1
+def _uncertified_eigenpair(op, V, tol):
+    vec = np.zeros(op.shape[0])
+    vec[0] = 1.0
+    return 1.0, vec, True  # ||A e_0 - e_0|| is far above tol * 1
 
 
-@pytest.mark.parametrize("fake_eigsh", [_raise_arpack_error, _uncertified_eigenpair])
-def test_dense_fallback_when_lanczos_is_not_certified(monkeypatch, fake_eigsh):
+@pytest.mark.parametrize("fake_run", [_never_converges, _uncertified_eigenpair])
+def test_dense_fallback_when_lanczos_is_not_certified(monkeypatch, fake_run):
     A, op, dense = _fallback_inputs()
     Y = np.random.default_rng(8).standard_normal((DENSE_CUTOFF + 40, 30))
     Y[:, 0] += np.where(np.arange(Y.shape[0]) % 2 == 0, 2.0, -2.0)
@@ -187,15 +195,96 @@ def test_dense_fallback_when_lanczos_is_not_certified(monkeypatch, fake_eigsh):
     signs = np.where(np.linalg.eigh((gram + gram.T) / 2.0)[1][:, -1] >= 0.0, 1, -1)
     calls = []
 
-    def eigsh(*args, **kwargs):
+    def lanczos_run(*args):
         calls.append(args)
-        return fake_eigsh(*args, **kwargs)
+        return fake_run(*args)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+    monkeypatch.setattr(spectral, "_lanczos_run", lanczos_run)
     assert spectral_norm(A) == dense
     assert spectral_norm(op) == dense
     assert np.array_equal(spectral_cluster(Y), signs)
-    assert len(calls) == 3
+    # a run that never converges is restarted from its Ritz vector, a bounded number of times
+    runs_per_solve = 1 if fake_run is _uncertified_eigenpair else spectral._LANCZOS_RESTARTS + 1
+    assert len(calls) == 3 * runs_per_solve
+
+
+class _CountingOperator:
+    """A symmetric matrix seen only through ``shape`` and ``@``; counts products."""
+
+    def __init__(self, A):
+        self.A = A
+        self.shape = A.shape
+        self.calls = 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.A @ x
+
+
+def _linspace_operator(p1, p2):
+    profile = VarianceProfile(np.linspace(0.5, 1.5, p1 * p2).reshape(p1, p2))
+    return centered_operator(sample(profile, Gaussian(), SampleSeed(12, 0)), profile, Gaussian())
+
+
+def _clustering_gram():
+    rng = np.random.default_rng(13)
+    mu = np.zeros(1000)
+    mu[0] = 6.0
+    instance = ClusteringInstance(n=400, p=1000, mu=mu, labels=rng.choice([-1, 1], size=400),
+                                  sigmas=rng.uniform(0.5, 1.5, 1000))
+    Y = generate_mixture(instance, SampleSeed(13, 0))
+    return Y @ Y.T
+
+
+AGREEMENT_CASES = {
+    "tall_2000x20": lambda: (_linspace_operator(2000, 20), 1e-8),
+    "square_300x300": lambda: (_linspace_operator(300, 300), 1e-8),
+    "cluster_gram_400x1000": lambda: (_clustering_gram(), CLUSTER_TOL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_lanczos_pair_agrees_with_arpack(case):
+    op, tol = AGREEMENT_CASES[case]()
+    n = op.shape[0]
+    vals, vecs = scipy.sparse.linalg.eigsh(scipy.sparse.linalg.aslinearoperator(op), k=1, which="LM",
+                                           v0=np.full(n, 1.0 / np.sqrt(n)), tol=tol)
+    lam, vec = _certified_lanczos_pair(op, tol)
+    assert lam == pytest.approx(float(vals[0]), rel=1e-12)
+    signs, arpack_signs = np.where(vec >= 0.0, 1, -1), np.where(vecs[:, 0] >= 0.0, 1, -1)
+    assert np.array_equal(signs, arpack_signs) or np.array_equal(signs, -arpack_signs)
+
+
+def test_lanczos_stops_on_an_invariant_subspace():
+    """The Krylov space of a rank-30 Gram has at most 32 dimensions (31, and
+    one more where roundoff splits its zero eigenvalue), so the solve stops
+    there, far below its 128-vector basis, with an exact Ritz pair."""
+    Y = np.random.default_rng(8).standard_normal((DENSE_CUTOFF + 40, 30))
+    gram = Y @ Y.T
+    op = _CountingOperator(gram)
+    assert _certified_lanczos_pair(op, CLUSTER_TOL) is not None
+    assert op.calls <= Y.shape[1] + 3  # Lanczos steps plus the certificate's product
+    dense = np.where(np.linalg.eigh(gram)[1][:, -1] >= 0.0, 1, -1)
+    found = spectral_cluster(Y)
+    assert np.array_equal(found, dense) or np.array_equal(found, -dense)
+
+
+def test_lanczos_restarts_on_close_top_eigenvalues():
+    """Top two eigenvalues 5e-4 apart, relative, over a bulk up to 0.995: the
+    first 128-vector basis does not resolve them, and a restart from its Ritz
+    vector does."""
+    rng = np.random.default_rng(0)
+    n = 400
+    eigenvalues = np.concatenate([[1.0, 1.0 - 5e-4], np.linspace(-0.999, 0.995, n - 2)])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * eigenvalues) @ Q.T
+    A = (A + A.T) / 2.0
+    dense = float(np.abs(np.linalg.eigvalsh(A)).max())
+    op = _CountingOperator(A)
+    lam, _ = _certified_lanczos_pair(op, 1e-8)
+    assert op.calls > spectral._LANCZOS_BASIS + 1
+    assert abs(lam) == pytest.approx(dense, rel=1e-8)
+    assert spectral_norm(A) == pytest.approx(dense, rel=1e-8)
 
 
 def test_replicate_memory_is_linear_in_the_sample():
