@@ -265,10 +265,19 @@ class ClusteringInstance:
 
 
 def generate_mixture(instance: ClusteringInstance, seed: SampleSeed) -> np.ndarray:
-    """n-by-p observation matrix: row j is labels[j] * mu + heteroskedastic noise."""
+    """n-by-p observation matrix: row j is labels[j] * mu + heteroskedastic noise.
+
+    Written in place into the drawn matrix, with no n-by-p temporary: labels
+    are +-1, so the shift adds mu to the rows labelled +1 and subtracts it
+    from the others.  Since x - m == x + (-m) exactly, the result is bitwise
+    ``labels[:, None] * mu[None, :] + noise * sigmas[None, :]``, signed zeros
+    included.
+    """
     Y = generator(seed).standard_normal((instance.n, instance.p))
     Y *= instance.sigmas[None, :]
-    Y += instance.labels[:, None] * instance.mu[None, :]
+    plus = (instance.labels > 0)[:, None]
+    np.add(Y, instance.mu, out=Y, where=plus)
+    np.subtract(Y, instance.mu, out=Y, where=~plus)
     return Y
 
 

@@ -225,12 +225,20 @@ class HeavyTail(NoiseModel):
             raise ParameterError("b must be >= 1")
 
     def draw(self, rng, sigma):
+        """sigma * (G |H|^(b-1) / heavy_tail_scale(b)), written in place into
+        the draws (into G alone at b = 1): no p1-by-p2 temporary beyond G and
+        H, and bitwise the out-of-place formula."""
         g = rng.standard_normal(sigma.shape)
         if self.b == 1.0:
-            return sigma * g
+            g *= sigma
+            return g
         h = rng.standard_normal(sigma.shape)
-        w = g * np.abs(h) ** (self.b - 1.0)
-        return sigma * (w / heavy_tail_scale(self.b))
+        np.abs(h, out=h)
+        h **= self.b - 1.0
+        h *= g
+        h /= heavy_tail_scale(self.b)
+        h *= sigma
+        return h
 
     def kappa(self):
         b = self.b

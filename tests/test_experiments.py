@@ -148,19 +148,26 @@ def test_generate_mixture_exact_and_reproducible():
 
 
 def test_generate_mixture_is_bitwise_the_out_of_place_sum():
+    """The in-place shift must match the outer-product formula byte for byte,
+    signed zeros included: with mu = lam * e_1 every other coordinate adds
+    labels * 0.0 = +-0.0, and the sigma = 0 column holds +-0.0 noise."""
     rng = np.random.default_rng(4)
     n, p = 30, 17
     labels = rng.choice([-1, 1], size=n)
-    mu = rng.standard_normal(p)
+    assert set(labels) == {-1, 1}
+    dense = rng.standard_normal(p)
+    one_hot = np.zeros(p)
+    one_hot[0] = 1.7
     sigmas = rng.uniform(0.0, 2.0, p)
     sigmas[3] = 0.0
-    inst = ClusteringInstance(n=n, p=p, mu=mu, labels=labels, sigmas=sigmas)
     seed = SampleSeed(9, 2)
-    expected = (
-        labels[:, None] * mu[None, :]
-        + generator(seed).standard_normal((n, p)) * sigmas[None, :]
-    )
-    assert generate_mixture(inst, seed).tobytes() == expected.tobytes()
+    noise = generator(seed).standard_normal((n, p))
+    for mu in (dense, one_hot):
+        inst = ClusteringInstance(n=n, p=p, mu=mu, labels=labels, sigmas=sigmas)
+        expected = labels[:, None] * mu[None, :] + noise * sigmas[None, :]
+        assert generate_mixture(inst, seed).tobytes() == expected.tobytes()
+    negative_zero = np.signbit(expected[:, 3])  # the one-hot case holds both zeros
+    assert negative_zero.any() and not negative_zero.all()
 
 
 def test_mixture_pure_noise_column_variances():

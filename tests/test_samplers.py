@@ -18,7 +18,7 @@ from hetwishart import (
     kappa,
     sample,
 )
-from hetwishart.samplers import MODELS, model_from_json_dict, model_to_json_dict
+from hetwishart.samplers import MODELS, generator, model_from_json_dict, model_to_json_dict
 
 ALL_SIMPLE_MODELS = [Gaussian(), ScaledRademacher(), Bounded(B=5.0), HeavyTail(b=2.0)]
 
@@ -103,6 +103,20 @@ def test_heavy_tail_b1_is_bitwise_gaussian():
     prof = VarianceProfile(np.random.default_rng(0).uniform(0, 1, (30, 40)))
     seed = SampleSeed(99, 3)
     assert np.array_equal(sample(prof, HeavyTail(b=1.0), seed), sample(prof, Gaussian(), seed))
+
+
+@pytest.mark.parametrize("b", [1.25, 1.5, 2.0, 2.5, 3.0, 4.0])
+def test_heavy_tail_draw_is_bitwise_the_out_of_place_formula(b):
+    rng = np.random.default_rng(8)
+    sigma = rng.uniform(0.0, 2.0, (60, 40))
+    sigma[:, 5] = 0.0
+    seed = SampleSeed(6, 1)
+    draws = generator(seed)
+    g = draws.standard_normal(sigma.shape)
+    h = draws.standard_normal(sigma.shape)
+    expected = sigma * ((g * np.abs(h) ** (b - 1.0)) / heavy_tail_scale(b))
+    Z = sample(VarianceProfile(sigma), HeavyTail(b=b), seed)
+    assert Z.tobytes() == expected.tobytes()
 
 
 def test_heavy_tail_scale_values():

@@ -287,19 +287,49 @@ def test_lanczos_restarts_on_close_top_eigenvalues():
     assert spectral_norm(A) == pytest.approx(dense, rel=1e-8)
 
 
+def _traced_peak(fn):
+    """(result, tracemalloc peak in bytes) of fn(), after one warm call."""
+    fn()
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def test_replicate_memory_is_linear_in_the_sample():
     """One 4000 x 20 replicate through ``concentration_norms`` must peak far
     below the 128 MB of a single 4000 x 4000 float array.  The bound is 16 MB;
     the earlier route, which formed the Gram, peaked at 386 MB on this input."""
     profile = VarianceProfile(np.ones((4000, 20)))
-    concentration_norms(profile, Gaussian(), 1, master_seed=5)  # warm caches and imports
-    tracemalloc.start()
-    try:
-        concentration_norms(profile, Gaussian(), 1, master_seed=5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: concentration_norms(profile, Gaussian(), 1, master_seed=5))
     assert peak < 16e6
+
+
+def test_generate_mixture_shifts_in_place():
+    """The mean shift writes into the drawn matrix: the peak stays near one
+    n x p array instead of the two that an outer-product shift needs."""
+    n, p = 400, 1000
+    rng = np.random.default_rng(2)
+    mu = np.zeros(p)
+    mu[0] = 2.0
+    inst = ClusteringInstance(
+        n=n, p=p, mu=mu, labels=rng.choice([-1, 1], size=n), sigmas=rng.uniform(0.5, 1.5, p)
+    )
+    Y, peak = _traced_peak(lambda: generate_mixture(inst, SampleSeed(3, 0)))
+    assert peak <= 1.25 * Y.nbytes
+
+
+def test_heavy_tail_draw_builds_in_place():
+    """A heavy-tail draw holds its two Gaussian draws and nothing larger; at
+    b = 1 it holds its one draw."""
+    profile = VarianceProfile(np.ones((3000, 100)))
+    Z, peak = _traced_peak(lambda: sample(profile, HeavyTail(1.5), SampleSeed(4, 0)))
+    assert peak <= 2.25 * Z.nbytes
+    Z, peak = _traced_peak(lambda: sample(profile, HeavyTail(1.0), SampleSeed(4, 0)))
+    assert peak <= 1.25 * Z.nbytes
 
 
 def test_trace_power_examples():
