@@ -41,20 +41,14 @@ from .experiments import (
     tail_empirics,
 )
 from .moment_oracle import (
-    BipartiteCycle,
-    CycleShape,
-    EdgeStatistics,
     check_diagonal_deletion,
     check_gaussian_comparison,
     check_paired_moment,
     check_variance_contraction,
-    edge_statistics,
-    enumerate_cycles,
     exact_deleted_diagonal_trace_moment,
     exact_trace_moment,
     gaussian_moment,
     heavy_tail_moment,
-    shape_of,
     subgaussian_moment_envelope,
 )
 from .profiles import (
@@ -75,7 +69,6 @@ from .samplers import (
     NoiseModel,
     SampleSeed,
     ScaledRademacher,
-    expected_gram,
     heavy_tail_scale,
     kappa,
     sample,

@@ -30,7 +30,7 @@ constants:
   s_b^2          = 2^(b-1) Gamma(b-1/2) / Gamma(1/2)  (heavy-tail variance normalizer)
 guards:
   gaussian_moment order <= {moment_oracle.MAX_GAUSSIAN_ORDER}; heavy-tail order <= {moment_oracle.MAX_HEAVY_TAIL_ORDER}
-  oracle work <= {moment_oracle.ENUMERATION_GUARD} cycles, or shape pairs plus labelings per trace moment"""
+  oracle work <= {moment_oracle.ENUMERATION_GUARD} shape pairs plus labelings per trace moment"""
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
-from typing import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -42,12 +41,6 @@ __all__ = [
     "double_factorial",
     "gaussian_moment",
     "heavy_tail_moment",
-    "BipartiteCycle",
-    "EdgeStatistics",
-    "CycleShape",
-    "edge_statistics",
-    "shape_of",
-    "enumerate_cycles",
     "cycle_count",
     "exact_trace_moment",
     "exact_deleted_diagonal_trace_moment",
@@ -61,8 +54,7 @@ __all__ = [
 
 MAX_GAUSSIAN_ORDER = 64      # guard on alpha + 2*beta for exact integer moments
 MAX_HEAVY_TAIL_ORDER = 40    # guard for the Gamma-based heavy-tail moments
-ENUMERATION_GUARD = 10**8    # max cycles enumerate_cycles streams, and max shape
-                             # pairs plus labelings one trace moment sums
+ENUMERATION_GUARD = 10**8    # max shape pairs plus labelings one trace moment sums
 ENVELOPE_CONSTANT = 3.0      # calibrated constant in the sub-Gaussian moment envelope
 
 _COMPARISON_SLACK = 1e-9     # lhs <= rhs * (1 + slack) absorbs float roundoff
@@ -142,90 +134,8 @@ def heavy_tail_moment(alpha: int, beta: int, b: float) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class BipartiteCycle:
-    """Closed walk u_1 -> v_1 -> u_2 -> ... -> u_q -> v_q -> u_1; indices cyclic."""
-
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.u) != len(self.v) or len(self.u) < 1:
-            raise ParameterError("u and v must have equal length q >= 1")
-
-    @property
-    def q(self) -> int:
-        return len(self.u)
-
-
-@dataclass(frozen=True)
-class EdgeStatistics:
-    """Per-edge visit counts: alpha single visits, beta back-and-forth visits."""
-
-    alpha: dict[tuple[int, int], int]
-    beta: dict[tuple[int, int], int]
-
-
-@dataclass(frozen=True)
-class CycleShape:
-    """Relabeled canonical form of a cycle plus its counting statistics.
-
-    Left and right vertices are relabeled independently, in order of first
-    appearance, starting from 0.  m_ab maps (alpha, beta) to the number of
-    visited edges with exactly those counts.
-    """
-
-    canonical: BipartiteCycle
-    m_L: int
-    m_R: int
-    m_ab: tuple[tuple[tuple[int, int], int], ...]
-
-    def m_ab_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.m_ab)
-
-
-def edge_statistics(cycle: BipartiteCycle) -> EdgeStatistics:
-    """Count, per edge (i, j), single visits (alpha) and back-and-forth visits (beta)."""
-    alpha: dict[tuple[int, int], int] = {}
-    beta: dict[tuple[int, int], int] = {}
-    u, v, q = cycle.u, cycle.v, cycle.q
-    for k in range(q):
-        uk, vk, unext = u[k], v[k], u[(k + 1) % q]
-        if uk == unext:
-            edge = (uk, vk)
-            beta[edge] = beta.get(edge, 0) + 1
-        else:
-            e1, e2 = (uk, vk), (unext, vk)
-            alpha[e1] = alpha.get(e1, 0) + 1
-            alpha[e2] = alpha.get(e2, 0) + 1
-    return EdgeStatistics(alpha, beta)
-
-
-def shape_of(cycle: BipartiteCycle) -> CycleShape:
-    """Canonical shape: relabel left/right vertices by first appearance."""
-    lmap: dict[int, int] = {}
-    rmap: dict[int, int] = {}
-    cu = []
-    cv = []
-    for uk, vk in zip(cycle.u, cycle.v):
-        if uk not in lmap:
-            lmap[uk] = len(lmap)
-        if vk not in rmap:
-            rmap[vk] = len(rmap)
-        cu.append(lmap[uk])
-        cv.append(rmap[vk])
-    canonical = BipartiteCycle(tuple(cu), tuple(cv))
-    stats = edge_statistics(canonical)
-    edges = set(stats.alpha) | set(stats.beta)
-    counts: dict[tuple[int, int], int] = {}
-    for edge in edges:
-        key = (stats.alpha.get(edge, 0), stats.beta.get(edge, 0))
-        counts[key] = counts.get(key, 0) + 1
-    m_ab = tuple(sorted(counts.items()))
-    return CycleShape(canonical, len(lmap), len(rmap), m_ab)
-
-
 def cycle_count(p1: int, p2: int, q: int) -> int:
+    """Number of closed walks u_1 -> v_1 -> ... -> v_q -> u_1 on [p1] x [p2]."""
     return (p1 * p2) ** q
 
 
@@ -239,15 +149,6 @@ def _guard(count: int, work: str) -> int:
 def _check_q(q: int) -> None:
     if q < 1:
         raise ParameterError("q must be >= 1")
-
-
-def enumerate_cycles(p1: int, p2: int, q: int) -> Iterator[BipartiteCycle]:
-    """Stream all (p1*p2)^q length-2q cycles exactly once (odometer order)."""
-    _check_q(q)
-    _guard(cycle_count(p1, p2, q), "cycles")
-    for u in product(range(p1), repeat=q):
-        for v in product(range(p2), repeat=q):
-            yield BipartiteCycle(u, v)
 
 
 # ---------------------------------------------------------------- shape engine
@@ -284,20 +185,36 @@ def _growth_string_count(q: int, blocks: int) -> int:
     return sum(by_blocks)
 
 
+def _moment_product(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """prod over visited edges of gaussian_moment(alpha, beta): a step with
+    u_k = u_{k+1} is one back-and-forth visit (beta) of (u_k, v_k), any other
+    step one single visit (alpha) of each of (u_k, v_k) and (u_{k+1}, v_k)."""
+    q = len(u)
+    counts: dict[tuple[int, int], list[int]] = {}
+    for k in range(q):
+        here, there = u[k], u[(k + 1) % q]
+        if here == there:
+            counts.setdefault((here, v[k]), [0, 0])[1] += 1
+        else:
+            counts.setdefault((here, v[k]), [0, 0])[0] += 1
+            counts.setdefault((there, v[k]), [0, 0])[0] += 1
+    return math.prod(gaussian_moment(alpha, beta) for alpha, beta in counts.values())
+
+
 @lru_cache(maxsize=None)
 def _shapes(q: int, blocks1: int, blocks2: int, deleted: bool) -> tuple:
-    """Shapes (u, v, L, R, M) whose moment product M = prod gaussian_moment(a, b)^count
-    is non-zero; ``deleted`` keeps those with u_k != u_{k+1} at every step."""
+    """Shapes (u, v, L, R, M) whose moment product M is non-zero; ``deleted``
+    keeps those with u_k != u_{k+1} at every step.  A restricted-growth string
+    is its own canonical form, so u has L = max(u) + 1 blocks."""
     shapes = []
     rights = _growth_strings(q, blocks2)
     for u in _growth_strings(q, blocks1):
         if deleted and any(u[k] == u[(k + 1) % q] for k in range(q)):
             continue
         for v in rights:
-            shape = shape_of(BipartiteCycle(u, v))
-            m = math.prod(gaussian_moment(a, b) ** count for (a, b), count in shape.m_ab)
+            m = _moment_product(u, v)
             if m:
-                shapes.append((u, v, shape.m_L, shape.m_R, m))
+                shapes.append((u, v, max(u) + 1, max(v) + 1, m))
     return tuple(shapes)
 
 

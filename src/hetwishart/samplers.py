@@ -42,7 +42,6 @@ __all__ = [
     "derive_seed",
     "heavy_tail_scale",
     "sample",
-    "expected_gram",
     "kappa",
     "model_to_json_dict",
     "model_from_json_dict",
@@ -275,11 +274,6 @@ def sample(profile: VarianceProfile, model: NoiseModel, seed: SampleSeed) -> np.
 def entry_variances(profile: VarianceProfile, model: NoiseModel) -> np.ndarray:
     model.check(profile)
     return model.variances(profile)
-
-
-def expected_gram(profile: VarianceProfile, model: NoiseModel) -> np.ndarray:
-    """E ZZ' = diag(sum_j Var(Z_ij)), a p1-by-p1 diagonal matrix."""
-    return np.diag(entry_variances(profile, model).sum(axis=1))
 
 
 def kappa(model: NoiseModel) -> float:

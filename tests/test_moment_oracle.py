@@ -10,7 +10,6 @@ from scipy import integrate
 from scipy.stats import norm
 
 from hetwishart import (
-    BipartiteCycle,
     ParameterError,
     SizeGuardError,
     VarianceProfile,
@@ -18,14 +17,11 @@ from hetwishart import (
     check_gaussian_comparison,
     check_paired_moment,
     check_variance_contraction,
-    edge_statistics,
-    enumerate_cycles,
     exact_deleted_diagonal_trace_moment,
     exact_trace_moment,
     gaussian_moment,
     heavy_tail_moment,
     homoskedastic_rows,
-    shape_of,
     subgaussian_moment_envelope,
 )
 from hetwishart.moment_oracle import double_factorial
@@ -124,73 +120,6 @@ def test_heavy_tail_guards():
         heavy_tail_moment(2, 0, 0.5)
 
 
-# ---------------------------------------------------------------- cycles
-
-
-def test_edge_statistics_single_loop():
-    stats = edge_statistics(BipartiteCycle((0,), (0,)))
-    assert stats.beta == {(0, 0): 1}
-    assert stats.alpha == {}
-
-
-def test_edge_statistics_two_step_path():
-    # 0 -> 0' -> 1 -> 0' -> 0
-    stats = edge_statistics(BipartiteCycle((0, 1), (0, 0)))
-    assert stats.alpha == {(0, 0): 2, (1, 0): 2}
-    assert stats.beta == {}
-
-
-@given(
-    st.integers(1, 5).flatmap(
-        lambda q: st.tuples(
-            st.lists(st.integers(0, 3), min_size=q, max_size=q),
-            st.lists(st.integers(0, 3), min_size=q, max_size=q),
-        )
-    )
-)
-def test_edge_statistics_sum_identity(uv):
-    u, v = uv
-    cycle = BipartiteCycle(tuple(u), tuple(v))
-    stats = edge_statistics(cycle)
-    total = sum(stats.alpha.values()) + 2 * sum(stats.beta.values())
-    assert total == 2 * cycle.q
-
-
-def test_shape_of_worked_example():
-    # 1-based walk 2 -> 4' -> 3 -> 2' -> 2 -> 4' -> 5 -> 1' -> 2 relabels to
-    # 1 -> 1' -> 2 -> 2' -> 1 -> 1' -> 3 -> 3' -> 1 (0-based below)
-    cycle = BipartiteCycle((1, 2, 1, 4), (3, 1, 3, 0))
-    shape = shape_of(cycle)
-    assert shape.canonical.u == (0, 1, 0, 2)
-    assert shape.canonical.v == (0, 1, 0, 2)
-    assert shape.m_L == 3 and shape.m_R == 3
-    assert shape.m_ab_dict() == {(1, 0): 6, (2, 0): 1}
-
-
-def test_shape_of_canonical_fixed_point():
-    for cycle in enumerate_cycles(2, 2, 3):
-        shape = shape_of(cycle)
-        again = shape_of(shape.canonical)
-        assert again.canonical == shape.canonical
-
-
-def test_shape_invariant_under_relabeling():
-    cycle = BipartiteCycle((0, 1, 0), (2, 2, 1))
-    relabeled = BipartiteCycle((5, 3, 5), (0, 0, 7))
-    assert shape_of(cycle) == shape_of(relabeled)
-
-
-def test_enumerate_cycles_count_and_uniqueness():
-    cycles = list(enumerate_cycles(2, 3, 2))
-    assert len(cycles) == 36  # (p1 p2)^q
-    assert len(set(cycles)) == 36
-
-
-def test_enumeration_guard_names_count():
-    with pytest.raises(SizeGuardError, match=str((50 * 50) ** 4)):
-        list(enumerate_cycles(50, 50, 4))
-
-
 # ---------------------------------------------------------------- trace moments
 
 
@@ -254,25 +183,34 @@ def test_exact_trace_moment_matches_monte_carlo():
 
 
 def _per_cycle_moment(profile, q, deleted=False):
-    """Reference: the cycle expansion summed cycle by cycle.
+    """Reference: the cycle expansion summed cycle by cycle over all (p1 p2)^q
+    closed walks, each walk's edge visits counted here.
 
-    deleted=True gives E tr{(D(ZZ'))^q}: only cycles with u_k != u_{k+1} at
-    every step, which have no back-and-forth edges.
+    A step u_k -> v_k -> u_{k+1} with u_k = u_{k+1} visits (u_k, v_k) back and
+    forth (beta); any other step visits (u_k, v_k) and (u_{k+1}, v_k) once each
+    (alpha).  deleted=True gives E tr{(D(ZZ'))^q}: only cycles with
+    u_k != u_{k+1} at every step, which have no back-and-forth edges.
     """
     sig = profile.sigma.tolist()
     terms = []
-    for cycle in enumerate_cycles(profile.p1, profile.p2, q):
-        u, v = cycle.u, cycle.v
+    for u in product(range(profile.p1), repeat=q):
         if deleted and any(u[k] == u[(k + 1) % q] for k in range(q)):
             continue
-        s = 1.0
-        for k in range(q):
-            s *= sig[u[k]][v[k]] * sig[u[(k + 1) % q]][v[k]]
-        stats = edge_statistics(cycle)
-        m = 1
-        for edge in set(stats.alpha) | set(stats.beta):
-            m *= gaussian_moment(stats.alpha.get(edge, 0), stats.beta.get(edge, 0))
-        terms.append(s * m)
+        for v in product(range(profile.p2), repeat=q):
+            s = 1.0
+            alpha, beta = {}, {}
+            for k in range(q):
+                i, j, i_next = u[k], v[k], u[(k + 1) % q]
+                s *= sig[i][j] * sig[i_next][j]
+                if i == i_next:
+                    beta[(i, j)] = beta.get((i, j), 0) + 1
+                else:
+                    alpha[(i, j)] = alpha.get((i, j), 0) + 1
+                    alpha[(i_next, j)] = alpha.get((i_next, j), 0) + 1
+            m = 1
+            for edge in set(alpha) | set(beta):
+                m *= gaussian_moment(alpha.get(edge, 0), beta.get(edge, 0))
+            terms.append(s * m)
     return math.fsum(terms)
 
 
@@ -307,6 +245,21 @@ def test_all_ones_moments_beyond_the_cycle_guard():
     assert res.rhs == (199 / 200) * (200 * 199 * 200 + 2 * 200 * 200)
     assert res.lhs == 199 * 198 * 199 + 2 * 199 * 199
     assert res.holds and res.cycles_enumerated == (199 * 199) ** 2 + (200 * 200) ** 2
+
+
+def test_all_ones_moments_at_q5_and_q6():
+    # exact integers, each below 2^53 and so exact as a float
+    ones = VarianceProfile(np.ones((50, 50)))
+    assert exact_trace_moment(ones, 5) == 105559120000
+    assert exact_trace_moment(ones, 6) == 13667853620000
+    assert exact_deleted_diagonal_trace_moment(ones, 5) == 89152560000
+    assert exact_deleted_diagonal_trace_moment(ones, 6) == 11335390500000
+
+
+def test_enumeration_guard_names_count():
+    # 52^2 shape pairs plus the (40)_L (40)_R labelings of every kept shape
+    with pytest.raises(SizeGuardError, match="shape pairs plus labelings = 24575370704 "):
+        exact_trace_moment(VarianceProfile(np.full((40, 40), 0.5)), 5)
 
 
 def test_general_profile_memory_is_bounded_by_the_block():

@@ -12,9 +12,7 @@ from hetwishart import (
     SampleSeed,
     ScaledRademacher,
     VarianceProfile,
-    expected_gram,
     heavy_tail_scale,
-    homoskedastic_rows,
     kappa,
     sample,
 )
@@ -136,14 +134,6 @@ def test_independence_smoke():
         a[r], b[r] = Z[0, 0], Z[1, 1]
     cov = float(np.mean(a * b) - a.mean() * b.mean())
     assert abs(cov) <= 5.0 / math.sqrt(n)
-
-
-def test_expected_gram_examples():
-    assert np.array_equal(expected_gram(homoskedastic_rows(np.ones(3), 5), Gaussian()), 5.0 * np.eye(3))
-    assert np.array_equal(expected_gram(VarianceProfile(np.zeros((2, 3))), Gaussian()), np.zeros((2, 2)))
-    theta = np.full((3, 4), 0.5)
-    gram = expected_gram(VarianceProfile(np.zeros((3, 4))), Bernoulli(theta=theta))
-    assert np.allclose(gram, np.eye(3))
 
 
 def test_kappa_documented_constants():

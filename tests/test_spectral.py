@@ -41,6 +41,9 @@ def test_centered_gram_zero_matrix():
 
     zero_prof = VarianceProfile(np.zeros((3, 4)))
     assert np.array_equal(centered_gram(np.zeros((3, 4)), zero_prof, Gaussian()), np.zeros((3, 3)))
+    # Bernoulli variances come from theta, not from the profile: 4 * 0.5 * 0.5 per row
+    coins = Bernoulli(theta=np.full((3, 4), 0.5))
+    assert np.array_equal(centered_gram(np.zeros((3, 4)), zero_prof, coins), -np.eye(3))
 
 
 def test_centered_gram_scalar_case():
