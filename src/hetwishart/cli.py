@@ -331,22 +331,11 @@ def cmd_cluster(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-class _PrintVersionTable(argparse.Action):
-    """``--version``: print VERSION_TABLE line by line and exit 0.  argparse's
-    own version action re-wraps its text into one paragraph."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
-                         nargs=0, help="show program's version number and exit")
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(VERSION_TABLE)
-        parser.exit()
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hetwishart", description=__doc__)
-    parser.add_argument("--version", action=_PrintVersionTable)
+    # the raw formatter keeps VERSION_TABLE's lines, which argparse would re-wrap
+    parser = argparse.ArgumentParser(prog="hetwishart", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--version", action="version", version=VERSION_TABLE)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="summarize a variance profile file")

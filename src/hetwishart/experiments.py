@@ -22,7 +22,7 @@ from . import bounds as bounds_mod
 from .errors import ParameterError
 from .profiles import VarianceProfile, summarize
 from .samplers import NoiseModel, SampleSeed, derive_seed, generator, model_to_json_dict, sample
-from .spectral import DENSE_CUTOFF, _certified_lanczos_pair, centered_operator, spectral_norm
+from .spectral import _extreme_eigenpair, centered_operator, spectral_norm
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -92,7 +92,6 @@ def concentration_norms(
     n_reps: int,
     master_seed: int,
     threads: int = 1,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Per-replicate values of ||ZZ' - E ZZ'||, indexed by replicate."""
     if n_reps < 1:
@@ -100,7 +99,7 @@ def concentration_norms(
 
     def one(rep: int) -> float:
         Z = sample(profile, model, SampleSeed(master_seed, rep))
-        return spectral_norm(centered_operator(Z, profile, model), tol=tol)
+        return spectral_norm(centered_operator(Z, profile, model))
 
     return _run_replicates(one, n_reps, threads)
 
@@ -111,14 +110,12 @@ def estimate_concentration(
     n_reps: int,
     master_seed: int,
     threads: int = 1,
-    quantile_probs: Sequence[float] = DEFAULT_QUANTILES,
 ) -> ConcentrationEstimate:
     """Monte Carlo summary of E||ZZ' - E ZZ'|| over n_reps replicates."""
     if n_reps < 2:
         raise ParameterError("n_reps must be >= 2")
     norms = concentration_norms(profile, model, n_reps, master_seed, threads)
-    probs = sorted(float(p) for p in quantile_probs)
-    quantiles = {p: float(np.quantile(norms, p)) for p in probs}
+    quantiles = {p: float(np.quantile(norms, p)) for p in DEFAULT_QUANTILES}
     return ConcentrationEstimate(
         mean=float(norms.mean()),
         std_err=float(norms.std(ddof=1) / math.sqrt(n_reps)),
@@ -284,26 +281,20 @@ def generate_mixture(instance: ClusteringInstance, seed: SampleSeed) -> np.ndarr
 def spectral_cluster(Y: np.ndarray) -> np.ndarray:
     """Signs of the leading eigenvector of YY' (zero maps to +1).
 
-    Up to ``spectral.DENSE_CUTOFF`` rows the vector is the last column of the
-    dense ``eigh``.  Above the cutoff it comes from the same certified Lanczos
-    solve as ``spectral_norm`` (largest |lam| on the formed YY'; YY' is
-    positive semidefinite, so that is its top eigenpair), accepted only
-    under the residual certificate ||YY'v - lam v|| <= CLUSTER_TOL |lam| with
-    lam != 0 and CLUSTER_TOL = 1e-12.  The tolerance is tight because the
-    output is the sign of each coordinate and the error of v is about the
-    residual over the spectral gap.  If the solve gives no certified pair
-    (a zero Y, for one, has lam = 0), the dense ``eigh`` is the fallback.
+    The vector is that of ``spectral._extreme_eigenpair`` on the formed YY',
+    which is positive semidefinite, so largest |lam| is its top eigenpair:
+    for small n the top column of the dense ``eigh``, for large n a Lanczos
+    vector accepted only under the residual certificate ||YY'v - lam v|| <=
+    CLUSTER_TOL |lam| with lam != 0 and CLUSTER_TOL = 1e-12, and the dense
+    ``eigh`` again when no certified pair comes out (a zero Y, for one, has
+    lam = 0).  The tolerance is tight because the output is the sign of each
+    coordinate and the error of v is about the residual over the spectral
+    gap.  A failed dense solve raises NumericalError.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 2:
         raise ParameterError("Y must be a 2-d matrix with n >= 2 rows")
-    gram = Y @ Y.T
-    pair = _certified_lanczos_pair(gram, CLUSTER_TOL) if gram.shape[0] > DENSE_CUTOFF else None
-    if pair is None:
-        _, vecs = np.linalg.eigh((gram + gram.T) / 2.0)
-        leading = vecs[:, -1]
-    else:
-        leading = pair[1]
+    _, leading = _extreme_eigenpair(Y @ Y.T, CLUSTER_TOL, vector=True)
     return np.where(leading >= 0.0, 1, -1)
 
 
@@ -334,29 +325,21 @@ def phase_diagram(
     lambda_grid: Sequence[float],
     n_reps: int,
     master_seed: int,
-    direction: np.ndarray | None = None,
     threads: int = 1,
 ) -> tuple[list[PhaseRow], float]:
     """Mean misclassification per signal strength lambda, plus the SNR threshold.
 
-    mu = lambda * direction (unit vector, first coordinate axis by default);
-    labels are drawn uniformly at random for each replicate.  Returns the rows
-    and the threshold sigma_* v sigma_tilde / n^(1/4).
+    mu = lambda * e_1, e_1 the first coordinate axis; labels are drawn
+    uniformly at random for each replicate.  Returns the rows and the
+    threshold sigma_* v sigma_tilde / n^(1/4).
     """
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.shape != (p,) or np.any(sigmas < 0):
         raise ParameterError("sigmas must be a length-p nonnegative vector")
     if any(lam < 0 for lam in lambda_grid):
         raise ParameterError("lambda grid entries must be nonnegative")
-    if direction is None:
-        direction = np.zeros(p)
-        direction[0] = 1.0
-    else:
-        direction = np.asarray(direction, dtype=float)
-        norm = float(np.linalg.norm(direction))
-        if direction.shape != (p,) or norm == 0.0:
-            raise ParameterError("direction must be a nonzero length-p vector")
-        direction = direction / norm
+    direction = np.zeros(p)
+    direction[0] = 1.0
 
     sigma_star = float(sigmas.max())
     sigma_tilde = float(np.sum(sigmas**4) ** 0.25)

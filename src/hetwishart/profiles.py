@@ -33,7 +33,6 @@ __all__ = [
     "profile_to_json",
     "profile_from_json",
     "load_profile",
-    "save_profile",
 ]
 
 # floor/ceil with a relative slack so that e.g. (sqrt(3))**2 = 2.999...96
@@ -262,8 +261,3 @@ def profile_from_json(text: str) -> VarianceProfile:
 def load_profile(path) -> VarianceProfile:
     with open(path, "r", encoding="utf-8") as fh:
         return profile_from_json(fh.read())
-
-
-def save_profile(profile: VarianceProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(profile_to_json(profile))

@@ -271,11 +271,6 @@ def sample(profile: VarianceProfile, model: NoiseModel, seed: SampleSeed) -> np.
     return model.draw(generator(seed), profile.sigma)
 
 
-def entry_variances(profile: VarianceProfile, model: NoiseModel) -> np.ndarray:
-    model.check(profile)
-    return model.variances(profile)
-
-
 def kappa(model: NoiseModel) -> float:
     """Moment norm of the standardized entry: sup_q q^(-1/2) (E|Z|^q)^(1/q).
 

@@ -1,5 +1,5 @@
-"""Centered Gram matrices and operators, spectral norms, the certified Lanczos
-eigenpair that spectral norms and clustering share, exact trace powers."""
+"""Centered Gram matrices and operators, spectral norms, exact trace powers,
+and the one extreme-eigenpair route that spectral norms and clustering share."""
 
 from __future__ import annotations
 
@@ -9,11 +9,12 @@ import numpy as np
 
 from .errors import ContractError, NumericalError, ParameterError
 from .profiles import VarianceProfile
-from .samplers import NoiseModel, entry_variances
+from .samplers import NoiseModel
 
 __all__ = ["DENSE_CUTOFF", "centered_gram", "centered_operator", "spectral_norm", "trace_power"]
 
-# Dense eigvalsh up to this many rows, one Lanczos solve above.  Measured per
+# A dense solve up to this many rows, one Lanczos solve above; only
+# _extreme_eigenpair reads it.  Measured per
 # replicate on centered_operator(Z), Gaussian Z, the two routes interleaved,
 # 2 CPUs, OpenBLAS thread variables unset.  Medians of 60, two runs, dense vs
 # Lanczos: p1 x p1 at 100: 0.57-0.69 vs 0.88-0.99 ms, 128: 0.87-1.00 vs
@@ -62,7 +63,8 @@ def centered_operator(
     Z = np.asarray(Z, dtype=float)
     if Z.shape != profile.shape:
         raise ParameterError(f"Z shape {Z.shape} does not match profile shape {profile.shape}")
-    return _CenteredOperator(Z, entry_variances(profile, model).sum(axis=1))
+    model.check(profile)
+    return _CenteredOperator(Z, model.variances(profile).sum(axis=1))
 
 
 def centered_gram(Z: np.ndarray, profile: VarianceProfile, model: NoiseModel) -> np.ndarray:
@@ -124,7 +126,8 @@ def _certified_lanczos_pair(
     _LANCZOS_BASIS vectors and restarts from its Ritz vector at most
     _LANCZOS_RESTARTS times.  The pair is returned only under the residual
     certificate ||op v - lam v|| <= tol |lam| with lam != 0; otherwise None,
-    and callers fall back to a dense solver.  Memory is O(n _LANCZOS_BASIS)."""
+    and ``_extreme_eigenpair`` falls back to a dense solver.  Memory is
+    O(n _LANCZOS_BASIS)."""
     n = op.shape[0]
     V = np.empty((min(n, _LANCZOS_BASIS), n))
     V[0] = 1.0 / np.sqrt(n)
@@ -139,35 +142,47 @@ def _certified_lanczos_pair(
     return None
 
 
+def _extreme_eigenpair(
+    A: np.ndarray | _CenteredOperator, tol: float, vector: bool
+) -> tuple[float, np.ndarray | None]:
+    """The eigenpair (lam, v) of largest |lam| of the symmetric A: the one
+    place that picks a solver for it.  Above DENSE_CUTOFF rows it is the
+    certified Lanczos pair (``_certified_lanczos_pair``) of A itself.  At or
+    below the cutoff, or when that pair is not certified, A is formed once (an
+    operator's ``toarray``) and solved densely: ``eigh`` if ``vector``, else
+    ``eigvalsh``, about twice as fast, with v = None.  Of the two ends of the
+    ascending spectrum the larger |lam| wins, and a tie goes to the top end.
+    A failed dense solve raises NumericalError."""
+    if A.shape[0] > DENSE_CUTOFF:
+        pair = _certified_lanczos_pair(A, tol)
+        if pair is not None:
+            return pair
+    # small, or not certified: the dense route is exact up to machine precision
+    dense = A.toarray() if isinstance(A, _CenteredOperator) else A
+    try:
+        lams, vecs = np.linalg.eigh(dense) if vector else (np.linalg.eigvalsh(dense), None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    k = 0 if -lams[0] > lams[-1] else -1
+    return float(lams[k]), None if vecs is None else vecs[:, k]
+
+
 def spectral_norm(A: np.ndarray | _CenteredOperator, tol: float = 1e-8) -> float:
     """Largest absolute eigenvalue of a symmetric matrix.
 
     A is a symmetric ndarray (asymmetry beyond 1e-9 relative is rejected) or
-    the operator ``centered_operator`` returns.  Up to DENSE_CUTOFF rows the
-    value is the dense ``eigvalsh`` one, and an operator is formed once for
-    it.  Above the cutoff one Lanczos solve (``_certified_lanczos_pair``,
-    fixed start vector) runs on A itself, and its eigenpair (lam, v) is
-    returned only under the residual certificate ||Av - lam v|| <= tol |lam|.
-    If the solve does not converge or the certificate does not hold, the
-    dense value is returned instead; that fallback is the only place an
-    operator is formed above the cutoff.
+    the operator ``centered_operator`` returns.  The value is |lam| of
+    ``_extreme_eigenpair``: the dense ``eigvalsh`` one up to DENSE_CUTOFF
+    rows, above it that of one Lanczos solve on A itself, returned only under
+    the residual certificate ||Av - lam v|| <= tol |lam|, and the dense one
+    again when the certificate does not hold.
     """
     if not 0.0 < tol <= 1e-2:
         raise ParameterError("tol must lie in (0, 1e-2]")
-    matrix_free = isinstance(A, _CenteredOperator)
-    op = A if matrix_free else _check_symmetric(A)
-    n = op.shape[0]
-    if n == 0:
+    op = A if isinstance(A, _CenteredOperator) else _check_symmetric(A)
+    if op.shape[0] == 0:
         return 0.0
-    if n > DENSE_CUTOFF:
-        pair = _certified_lanczos_pair(op, tol)
-        if pair is not None:
-            return abs(pair[0])
-    # small, or not certified: the dense route is exact up to machine precision
-    try:
-        return float(np.abs(np.linalg.eigvalsh(op.toarray() if matrix_free else op)).max())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    return abs(_extreme_eigenpair(op, tol, vector=False)[0])
 
 
 def trace_power(A: np.ndarray, q: int) -> float:

@@ -10,6 +10,7 @@ from scipy.stats import norm
 from hetwishart import (
     ClusteringInstance,
     Gaussian,
+    NumericalError,
     ParameterError,
     SampleSeed,
     VarianceProfile,
@@ -22,7 +23,7 @@ from hetwishart import (
     spectral_cluster,
     tail_empirics,
 )
-from hetwishart import experiments
+from hetwishart import spectral
 from hetwishart.experiments import (
     concentration_norms,
     evaluate_bound,
@@ -198,13 +199,13 @@ def test_spectral_cluster_recovers_noiseless_labels():
 def _count_lanczos_solves(monkeypatch) -> list:
     """Record the result of every certified Lanczos solve spectral_cluster makes."""
     results = []
-    solve = experiments._certified_lanczos_pair
+    solve = spectral._certified_lanczos_pair
 
     def counted(*args):
         results.append(solve(*args))
         return results[-1]
 
-    monkeypatch.setattr(experiments, "_certified_lanczos_pair", counted)
+    monkeypatch.setattr(spectral, "_certified_lanczos_pair", counted)
     return results
 
 
@@ -218,6 +219,16 @@ def test_spectral_cluster_outputs_signs(monkeypatch):
     assert solves == [None]
     with pytest.raises(ParameterError):
         spectral_cluster(np.zeros((1, 5)))
+
+
+def test_spectral_cluster_dense_failure_is_numerical_error(monkeypatch):
+    def failing_eigh(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    Y = np.random.default_rng(4).standard_normal((20, 5))
+    with pytest.raises(NumericalError, match="eigendecomposition failed"):
+        spectral_cluster(Y)
 
 
 def _mixture(n, p, lam_over_threshold, seed):
