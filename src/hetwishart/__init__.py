@@ -70,7 +70,6 @@ from .samplers import (
     SampleSeed,
     ScaledRademacher,
     heavy_tail_scale,
-    kappa,
     sample,
 )
-from .spectral import centered_gram, centered_operator, spectral_norm, trace_power
+from .spectral import centered_operator, spectral_norm, trace_power

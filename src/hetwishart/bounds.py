@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .profiles import _REL_SLACK, ProfileSummary, VarianceProfile, summarize
+from .profiles import ProfileSummary, VarianceProfile, _check_admissible, summarize
 
 __all__ = [
     "BoundReport",
@@ -264,13 +264,7 @@ def lower_bound_rate(s: ProfileSummary, p1: int, p2: int) -> BoundReport:
     valid for admissible tuples
     min(sigma_C, sigma_R) >= sigma_* >= max(sigma_C/sqrt(p1), sigma_R/sqrt(p2)).
     """
-    if p1 < 1 or p2 < 1:
-        raise ParameterError("p1 and p2 must be >= 1")
-    slack = 1.0 + _REL_SLACK
-    if s.sigma_star > min(s.sigma_C, s.sigma_R) * slack:
-        raise ParameterError("inadmissible: sigma_star > min(sigma_C, sigma_R)")
-    if s.sigma_star * slack < max(s.sigma_C / math.sqrt(p1), s.sigma_R / math.sqrt(p2)):
-        raise ParameterError("inadmissible: sigma_star < max(sigma_C/sqrt(p1), sigma_R/sqrt(p2))")
+    _check_admissible(s.sigma_star, s.sigma_C, s.sigma_R, p1, p2)
     log_p = math.log(min(p1, p2))
     terms = {
         "column": s.sigma_C**2,
@@ -349,9 +343,6 @@ BOUNDS: dict = _BoundTable({
 class ClusteringRates:
     upper_rate: float
     snr_threshold: float
-
-    def to_json_dict(self) -> dict:
-        return {"upper_rate": self.upper_rate, "snr_threshold": self.snr_threshold}
 
 
 def clustering_rates(

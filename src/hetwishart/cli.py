@@ -49,17 +49,18 @@ def _emit(path: str | None, payload: dict) -> None:
 
 
 def _load_model(spec: str) -> samplers.NoiseModel:
-    if spec.strip().startswith("{"):
+    if not spec.strip().startswith("{"):
+        return samplers.model_from_json_dict(profiles._read_json(spec, "noise model"))
+    try:
         return samplers.model_from_json_dict(json.loads(spec))
-    with open(spec, "r", encoding="utf-8") as fh:
-        return samplers.model_from_json_dict(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"invalid inline noise model JSON: {exc}") from None
 
 
 def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = profiles._read_json(args.config, "config")
         if not isinstance(cfg, dict):
             raise ParameterError("config file must contain a JSON object")
     return cfg
@@ -244,6 +245,8 @@ _FAMILIES = {
 
 
 def _resolve_family(family: dict, master_seed: int) -> _NamedProfiles:
+    if not isinstance(family, dict):
+        raise ParameterError(f"sweep family must be a JSON object, got {family!r}")
     kind = family.get("kind")
     build = _FAMILIES.get(kind) if isinstance(kind, str) else None
     if build is None:
@@ -262,6 +265,10 @@ def cmd_sweep(args) -> int:
         bound_id = bound_cfg.pop("id")
     except KeyError as exc:
         raise ParameterError(f"sweep config missing field {exc}") from None
+    except ParameterError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"sweep config field of the wrong type or value: {exc}") from None
     model = samplers.model_from_json_dict(cfg.get("model", {"model": "gaussian", "params": {}}))
     rows = experiments.rate_sweep(
         named, model, reps, bound_id, seed, threads, bound_params=bound_cfg

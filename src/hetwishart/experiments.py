@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .errors import ParameterError
 from .profiles import VarianceProfile, summarize
-from .samplers import NoiseModel, SampleSeed, derive_seed, generator, model_to_json_dict, sample
+from .samplers import NoiseModel, SampleSeed, derive_seed, generator, sample
 from .spectral import _extreme_eigenpair, centered_operator, spectral_norm
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "TailRow",
     "tail_empirics",
     "SweepRow",
-    "evaluate_bound",
     "rate_sweep",
     "sweep_rows_to_csv",
     "ClusteringInstance",
@@ -156,12 +155,6 @@ def tail_empirics(
     return rows
 
 
-def evaluate_bound(bound_id: str, profile: VarianceProfile, params: dict | None = None) -> float:
-    """Value of the ``bounds.BOUNDS`` entry ``bound_id`` on a concrete profile
-    (the moment bound for ``moment_tail``)."""
-    return bounds_mod.BOUNDS[bound_id](profile, dict(params or {})).value
-
-
 @dataclass(frozen=True)
 class SweepRow:
     name: str
@@ -188,21 +181,22 @@ def rate_sweep(
     """One Monte Carlo estimate + bound evaluation per grid point.
 
     Each grid point runs on its own derived seed, so adding or removing rows
-    never perturbs the others.
+    never perturbs the others.  The bound is the ``bounds.BOUNDS`` entry
+    ``bound_id`` (the moment bound for ``moment_tail``); an unknown id raises
+    ParameterError.
     """
     rows = []
-    model_name = model_to_json_dict(model)["model"]
     for index, (name, profile) in enumerate(named_profiles):
         row_seed = derive_seed(master_seed, _SALT_SWEEP_ROW | index)
         est = estimate_concentration(profile, model, n_reps, row_seed, threads)
-        bound = evaluate_bound(bound_id, profile, bound_params)
+        bound = bounds_mod.BOUNDS[bound_id](profile, dict(bound_params or {})).value
         ratio = est.mean / bound if bound > 0 else float("nan")
         rows.append(
             SweepRow(
                 name=name,
                 p1=profile.p1,
                 p2=profile.p2,
-                model=model_name,
+                model=model.kind,
                 n_reps=n_reps,
                 mean=est.mean,
                 std_err=est.std_err,
@@ -221,14 +215,9 @@ def _fmt(x) -> str:
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["name", "p1", "p2", "model", "n_reps", "mean", "std_err", "bound_id", "bound", "ratio"]
-    )
+    writer.writerow(f.name for f in fields(SweepRow))
     for r in rows:
-        writer.writerow(
-            [r.name, r.p1, r.p2, r.model, r.n_reps, _fmt(r.mean), _fmt(r.std_err),
-             r.bound_id, _fmt(r.bound), _fmt(r.ratio)]
-        )
+        writer.writerow(map(_fmt, astuple(r)))
     return buf.getvalue()
 
 

@@ -137,6 +137,28 @@ def homoskedastic_columns(sigmas, p1: int) -> VarianceProfile:
     return VarianceProfile(np.tile(vec[None, :], (p1, 1)))
 
 
+def _check_admissible(sigma_star: float, sigma_C: float, sigma_R: float, p1: int, p2: int) -> None:
+    """Reject dimensions below 1 and scale tuples outside the minimax lower
+    bound's range, min(sigma_C, sigma_R) >= sigma_* >= max(sigma_C/sqrt(p1),
+    sigma_R/sqrt(p2)), up to the relative slack _REL_SLACK.  The
+    ParameterError names the inequality that fails."""
+    if p1 < 1 or p2 < 1:
+        raise ParameterError("p1 and p2 must be >= 1")
+    slack = 1.0 + _REL_SLACK
+    if sigma_star > min(sigma_C, sigma_R) * slack:
+        raise ParameterError(
+            f"inadmissible: sigma_star > min(sigma_C, sigma_R) ({sigma_star} > {min(sigma_C, sigma_R)})"
+        )
+    if sigma_star * slack < sigma_C / math.sqrt(p1):
+        raise ParameterError(
+            f"inadmissible: sigma_star < sigma_C/sqrt(p1) ({sigma_star} < {sigma_C / math.sqrt(p1)})"
+        )
+    if sigma_star * slack < sigma_R / math.sqrt(p2):
+        raise ParameterError(
+            f"inadmissible: sigma_star < sigma_R/sqrt(p2) ({sigma_star} < {sigma_R / math.sqrt(p2)})"
+        )
+
+
 LOWER_BOUND_KINDS = ("single_column", "block", "block_diagonal")
 
 
@@ -165,24 +187,9 @@ def lower_bound_profile(
     """
     if kind not in LOWER_BOUND_KINDS:
         raise ParameterError(f"unknown lower-bound kind {kind!r}; expected one of {LOWER_BOUND_KINDS}")
-    if p1 < 1 or p2 < 1:
-        raise ParameterError("p1 and p2 must be >= 1")
     if min(sigma_star, sigma_C, sigma_R) < 0:
         raise ParameterError("sigma_star, sigma_C, sigma_R must be nonnegative")
-
-    slack = 1.0 + _REL_SLACK
-    if sigma_star > min(sigma_C, sigma_R) * slack:
-        raise ParameterError(
-            f"inadmissible: sigma_star > min(sigma_C, sigma_R) ({sigma_star} > {min(sigma_C, sigma_R)})"
-        )
-    if sigma_star * slack < sigma_C / math.sqrt(p1):
-        raise ParameterError(
-            f"inadmissible: sigma_star < sigma_C/sqrt(p1) ({sigma_star} < {sigma_C / math.sqrt(p1)})"
-        )
-    if sigma_star * slack < sigma_R / math.sqrt(p2):
-        raise ParameterError(
-            f"inadmissible: sigma_star < sigma_R/sqrt(p2) ({sigma_star} < {sigma_R / math.sqrt(p2)})"
-        )
+    _check_admissible(sigma_star, sigma_C, sigma_R, p1, p2)
 
     grid = np.zeros((p1, p2))
     if kind == "single_column":
@@ -246,6 +253,10 @@ def profile_from_json(text: str) -> VarianceProfile:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"invalid profile JSON: {exc}") from exc
+    return _profile_from_payload(payload)
+
+
+def _profile_from_payload(payload) -> VarianceProfile:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ParameterError('profile JSON must be an object with a "kind" field')
     kind = payload["kind"]
@@ -258,6 +269,17 @@ def profile_from_json(text: str) -> VarianceProfile:
         raise ParameterError(f"profile JSON missing field {exc}") from exc
 
 
+def _read_json(path, what: str):
+    """The parsed JSON file at path; an unreadable or malformed file is a
+    ParameterError naming it and the ``what`` it should hold."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read {what} file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParameterError(f"invalid {what} file {path!r}: {exc}") from None
+
+
 def load_profile(path) -> VarianceProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_json(fh.read())
+    return _profile_from_payload(_read_json(path, "profile"))

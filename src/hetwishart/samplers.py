@@ -42,7 +42,6 @@ __all__ = [
     "derive_seed",
     "heavy_tail_scale",
     "sample",
-    "kappa",
     "model_to_json_dict",
     "model_from_json_dict",
 ]
@@ -77,8 +76,6 @@ def derive_seed(master_seed: int, salt: int) -> int:
 
 def heavy_tail_scale(b: float) -> float:
     """s_b = sqrt(E|H|^(2b-2)) = sqrt(2^(b-1) Gamma(b-1/2) / Gamma(1/2))."""
-    if b == 1.0:
-        return 1.0
     return math.sqrt(2.0 ** (b - 1.0) * math.gamma(b - 0.5) / math.gamma(0.5))
 
 
@@ -101,6 +98,14 @@ class NoiseModel:
         """Reject a profile this model cannot be paired with."""
 
     def kappa(self) -> float:
+        """Moment norm of the standardized entry: sup_q q^(-1/2) (E|Z|^q)^(1/q).
+
+        Documented constants: Gaussian sqrt(2/pi) and ScaledRademacher 1 and
+        Bounded sqrt(3)/2 all attain the sup at q = 1.  HeavyTail uses the
+        tail-matched exponent b/2 instead of 1/2 (sup over a dense q grid), and
+        Bernoulli reports the worst entry of the grid.  Any unit-variance
+        variable has kappa >= 1/sqrt(2) (take q = 2).
+        """
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -197,8 +202,10 @@ class Bernoulli(NoiseModel):
             )
 
     def draw(self, rng, sigma):
+        """A_ij - theta_ij, with theta subtracted in place from the 0/1 draws."""
         draws = (rng.random(sigma.shape) < self.theta).astype(float)
-        return draws - self.theta
+        draws -= self.theta
+        return draws
 
     def variances(self, profile):
         return self.theta * (1.0 - self.theta)
@@ -269,18 +276,6 @@ def sample(profile: VarianceProfile, model: NoiseModel, seed: SampleSeed) -> np.
     """
     model.check(profile)
     return model.draw(generator(seed), profile.sigma)
-
-
-def kappa(model: NoiseModel) -> float:
-    """Moment norm of the standardized entry: sup_q q^(-1/2) (E|Z|^q)^(1/q).
-
-    Documented constants: Gaussian sqrt(2/pi) and ScaledRademacher 1 and
-    Bounded sqrt(3)/2 all attain the sup at q = 1.  HeavyTail uses the
-    tail-matched exponent b/2 instead of 1/2 (sup over a dense q grid), and
-    Bernoulli reports the worst entry of the grid.  Any unit-variance variable
-    has kappa >= 1/sqrt(2) (take q = 2).
-    """
-    return model.kappa()
 
 
 def model_to_json_dict(model: NoiseModel) -> dict:

@@ -11,7 +11,7 @@ from .errors import ContractError, NumericalError, ParameterError
 from .profiles import VarianceProfile
 from .samplers import NoiseModel
 
-__all__ = ["DENSE_CUTOFF", "centered_gram", "centered_operator", "spectral_norm", "trace_power"]
+__all__ = ["DENSE_CUTOFF", "centered_operator", "spectral_norm", "trace_power"]
 
 # A dense solve up to this many rows, one Lanczos solve above; only
 # _extreme_eigenpair reads it.  Measured per
@@ -29,6 +29,8 @@ _LANCZOS_RESTARTS = 8
 # as j^3 (0.18 ms at j = 40, 1.7 ms at 128); every step would cost more than
 # the steps themselves, so it is taken every _RITZ_CHECK steps.
 _RITZ_CHECK = 5
+# Residual tolerance of spectral_norm's Lanczos certificate.
+_NORM_TOL = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -58,18 +60,13 @@ def centered_operator(
     Z: np.ndarray, profile: VarianceProfile, model: NoiseModel
 ) -> _CenteredOperator:
     """ZZ' - E ZZ' as a plain symmetric operator (``shape``, ``@``, ``matvec``,
-    ``toarray``), never formed: the same matrix as ``centered_gram`` in
-    O(p1 p2) memory.  E ZZ' = diag(d), d the row sums of the entry variances."""
+    ``toarray``) in O(p1 p2) memory; ``toarray`` forms the symmetrized p1 x p1
+    matrix.  E ZZ' = diag(d), d the row sums of the entry variances."""
     Z = np.asarray(Z, dtype=float)
     if Z.shape != profile.shape:
         raise ParameterError(f"Z shape {Z.shape} does not match profile shape {profile.shape}")
     model.check(profile)
     return _CenteredOperator(Z, model.variances(profile).sum(axis=1))
-
-
-def centered_gram(Z: np.ndarray, profile: VarianceProfile, model: NoiseModel) -> np.ndarray:
-    """A = ZZ' - E ZZ', explicitly symmetrized."""
-    return centered_operator(Z, profile, model).toarray()
 
 
 def _check_symmetric(A: np.ndarray) -> np.ndarray:
@@ -167,22 +164,20 @@ def _extreme_eigenpair(
     return float(lams[k]), None if vecs is None else vecs[:, k]
 
 
-def spectral_norm(A: np.ndarray | _CenteredOperator, tol: float = 1e-8) -> float:
+def spectral_norm(A: np.ndarray | _CenteredOperator) -> float:
     """Largest absolute eigenvalue of a symmetric matrix.
 
     A is a symmetric ndarray (asymmetry beyond 1e-9 relative is rejected) or
     the operator ``centered_operator`` returns.  The value is |lam| of
     ``_extreme_eigenpair``: the dense ``eigvalsh`` one up to DENSE_CUTOFF
     rows, above it that of one Lanczos solve on A itself, returned only under
-    the residual certificate ||Av - lam v|| <= tol |lam|, and the dense one
-    again when the certificate does not hold.
+    the residual certificate ||Av - lam v|| <= _NORM_TOL |lam| (1e-8), and the
+    dense one again when the certificate does not hold.
     """
-    if not 0.0 < tol <= 1e-2:
-        raise ParameterError("tol must lie in (0, 1e-2]")
     op = A if isinstance(A, _CenteredOperator) else _check_symmetric(A)
     if op.shape[0] == 0:
         return 0.0
-    return abs(_extreme_eigenpair(op, tol, vector=False)[0])
+    return abs(_extreme_eigenpair(op, _NORM_TOL, vector=False)[0])
 
 
 def trace_power(A: np.ndarray, q: int) -> float:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,14 @@ def test_expected_reports_cover_every_bound():
     assert set(EXPECTED_REPORTS) == set(BOUNDS)
 
 
+def test_readme_bound_table_lists_every_bound_id():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| id | reads |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    ids = [name for line in table.splitlines()
+           for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert sorted(ids) == sorted(BOUNDS)
+
+
 @pytest.mark.parametrize("bound_id", sorted(EXPECTED_REPORTS))
 def test_bound_prints_the_library_report(tmp_path, capsys, bound_id):
     path = write_profile(tmp_path, ONES.sigma)
@@ -258,7 +267,35 @@ def _bad_input_args(tmp_path):
     no_count.write_text(json.dumps({
         "family": {"kind": "random_uniform", "p1_max": 4, "p2_max": 4}, "reps": 2,
     }))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"reps": 2,')
+    missing = str(tmp_path / "missing.json")
+    family = {"kind": "random_uniform", "count": 1, "p1_max": 4, "p2_max": 4}
+    sweeps = {
+        "sweep_reps_not_a_number": {"family": family, "reps": "x"},
+        "sweep_count_not_a_number": {"family": {**family, "count": "two"}, "reps": 2},
+        "sweep_family_not_an_object": {"family": "list", "reps": 2},
+    }
+    for name, cfg in sweeps.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    simulate = ["simulate", "--profile", profile, "--reps", "2", "--seed", "1"]
     return {
+        **{name: ["sweep", "--config", str(tmp_path / f"{name}.json"), "--seed", "1",
+                  "--out", str(tmp_path / f"{name}.csv")] for name in sweeps},
+        "simulate_malformed_config": ["simulate", "--config", str(malformed)],
+        "sweep_malformed_config": ["sweep", "--config", str(malformed), "--out",
+                                   str(tmp_path / "c.csv")],
+        "cluster_malformed_config": ["cluster", "--config", str(malformed)],
+        "simulate_missing_config": ["simulate", "--config", missing],
+        "model_malformed_inline": [*simulate, "--model", "{bad"],
+        "model_missing_file": [*simulate, "--model", missing],
+        "model_list_read_as_path": [*simulate, "--model", "[1]"],
+        "model_malformed_file": [*simulate, "--model", str(malformed)],
+        "profile_missing_in": ["profile", "--in", missing],
+        "profile_malformed_in": ["profile", "--in", str(malformed)],
+        "simulate_missing_profile": ["simulate", "--profile", missing, "--reps", "2", "--seed", "1"],
+        "bound_missing_profile": ["bound", "--profile", missing, "--id", "gaussian"],
+        "oracle_missing_profile": ["oracle", "--check", "trace", "--profile", missing],
         "cluster_without_n": ["cluster", "--seed", "1"],
         "sweep_without_family": ["sweep", "--config", str(no_family), "--seed", "1",
                                  "--out", str(tmp_path / "a.csv")],
@@ -273,6 +310,12 @@ def _bad_input_args(tmp_path):
 @pytest.mark.parametrize("case", [
     "cluster_without_n", "sweep_without_family", "sweep_without_count",
     "oracle_without_profile", "model_param_not_a_number",
+    "sweep_reps_not_a_number", "sweep_count_not_a_number", "sweep_family_not_an_object",
+    "simulate_malformed_config", "sweep_malformed_config", "cluster_malformed_config",
+    "simulate_missing_config", "model_malformed_inline", "model_missing_file",
+    "model_list_read_as_path", "model_malformed_file", "profile_missing_in",
+    "profile_malformed_in", "simulate_missing_profile", "bound_missing_profile",
+    "oracle_missing_profile",
 ])
 def test_bad_input_exits_3_with_error_line(tmp_path, capsys, case):
     assert main(_bad_input_args(tmp_path)[case]) == 3

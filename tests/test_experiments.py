@@ -24,9 +24,9 @@ from hetwishart import (
     tail_empirics,
 )
 from hetwishart import spectral
+from hetwishart.bounds import BOUNDS
 from hetwishart.experiments import (
     concentration_norms,
-    evaluate_bound,
     phase_rows_to_csv,
     sweep_rows_to_csv,
 )
@@ -100,14 +100,14 @@ def test_tail_empirics_basics():
 
 def test_evaluate_bound_dispatch():
     prof = homoskedastic_rows(np.array([1.0, 0.5, 0.25]), 8)
-    assert evaluate_bound("structured_rows", prof) > 0
+    assert BOUNDS["structured_rows"](prof, {}).value > 0
     with pytest.raises(ParameterError):
-        evaluate_bound("structured_columns", prof)
-    assert evaluate_bound("gaussian", prof, {"eps1": 0.2, "eps2": 0.2}) > 0
-    assert evaluate_bound("symmetrization", prof) > 0
-    assert evaluate_bound("unified_sub_gaussian", prof) > 0
+        BOUNDS["structured_columns"](prof, {})
+    assert BOUNDS["gaussian"](prof, {"eps1": 0.2, "eps2": 0.2}).value > 0
+    assert BOUNDS["symmetrization"](prof, {}).value > 0
+    assert BOUNDS["unified_sub_gaussian"](prof, {}).value > 0
     with pytest.raises(ParameterError):
-        evaluate_bound("nonsense", prof)
+        BOUNDS["nonsense"]
 
 
 def test_rate_sweep_single_point_and_csv_determinism():

@@ -6,10 +6,12 @@ import pytest
 
 from hetwishart import (
     ParameterError,
+    ProfileSummary,
     VarianceProfile,
     homoskedastic_columns,
     homoskedastic_rows,
     lower_bound_profile,
+    lower_bound_rate,
     profile_from_json,
     profile_to_json,
     summarize,
@@ -110,6 +112,39 @@ def test_lower_bound_admissibility_errors_name_inequality():
         lower_bound_profile("block", sigma_star=0.2, sigma_C=2.0, sigma_R=1.0, p1=4, p2=4)
     with pytest.raises(ParameterError, match="sigma_R/sqrt"):
         lower_bound_profile("block", sigma_star=0.2, sigma_C=0.3, sigma_R=1.0, p1=100, p2=4)
+
+
+def _accepts(fn) -> bool:
+    try:
+        fn()
+    except ParameterError:
+        return False
+    return True
+
+
+# (sigma_C, sigma_R, p1, p2, edge): on a 4 x 9 grid, sigma_* may range from
+# the binding lower edge max(sigma_C/2, sigma_R/3) up to min(sigma_C, sigma_R)
+ADMISSIBILITY_EDGES = {
+    "upper": (2.0, 3.0, 4, 9, 2.0),
+    "column": (2.0, 1.5, 4, 9, 1.0),
+    "row": (1.5, 3.0, 4, 9, 1.0),
+}
+
+
+@pytest.mark.parametrize("which", sorted(ADMISSIBILITY_EDGES))
+def test_lower_bound_rate_and_profile_share_the_admissibility_rule(which):
+    """Just inside and just outside each inequality, the _REL_SLACK margin
+    included, the rate and the adversarial profiles accept the same tuples."""
+    sigma_c, sigma_r, p1, p2, edge = ADMISSIBILITY_EDGES[which]
+    sign = 1.0 if which == "upper" else -1.0
+    for offset, inside in [(-0.5, True), (0.0, True), (0.5e-12, True), (2e-12, False), (0.5, False)]:
+        sigma_star = edge * (1.0 + sign * offset)
+        rate = _accepts(lambda: lower_bound_rate(
+            ProfileSummary(sigma_c, sigma_r, sigma_star, min(p1, p2)), p1, p2))
+        for kind in ("single_column", "block", "block_diagonal"):
+            prof = _accepts(lambda: lower_bound_profile(
+                kind, sigma_star=sigma_star, sigma_C=sigma_c, sigma_R=sigma_r, p1=p1, p2=p2))
+            assert (rate, prof) == (inside, inside), (which, offset, kind)
 
 
 @pytest.mark.parametrize("kind", ["single_column", "block", "block_diagonal"])

@@ -13,7 +13,6 @@ from hetwishart import (
     ScaledRademacher,
     VarianceProfile,
     heavy_tail_scale,
-    kappa,
     sample,
 )
 from hetwishart.samplers import MODELS, generator, model_from_json_dict, model_to_json_dict
@@ -137,16 +136,16 @@ def test_independence_smoke():
 
 
 def test_kappa_documented_constants():
-    assert kappa(Gaussian()) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-12)
-    assert kappa(ScaledRademacher()) == 1.0
-    assert kappa(Bounded(B=2.0)) == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
-    assert kappa(HeavyTail(b=1.0)) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-3)
+    assert Gaussian().kappa() == pytest.approx(math.sqrt(2 / math.pi), rel=1e-12)
+    assert ScaledRademacher().kappa() == 1.0
+    assert Bounded(B=2.0).kappa() == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+    assert HeavyTail(b=1.0).kappa() == pytest.approx(math.sqrt(2 / math.pi), rel=1e-3)
     # symmetric Bernoulli standardizes to +-1, i.e. a Rademacher variable
-    assert kappa(Bernoulli(theta=np.full((2, 2), 0.5))) == pytest.approx(1.0, rel=1e-6)
+    assert Bernoulli(theta=np.full((2, 2), 0.5)).kappa() == pytest.approx(1.0, rel=1e-6)
     # the q = 2 floor applies to the psi_2 families (exponent q^(-1/2));
     # HeavyTail uses the tail-matched exponent q^(-b/2) and can sit lower
     for model in (Gaussian(), ScaledRademacher(), Bounded(B=5.0)):
-        assert kappa(model) >= 1 / math.sqrt(2) - 1e-9
+        assert model.kappa() >= 1 / math.sqrt(2) - 1e-9
 
 
 def test_model_json_round_trip():
