@@ -305,7 +305,10 @@ def cmd_cluster(args) -> int:
     if args.sigma_const is not None:
         sigmas = np.full(p, args.sigma_const)
     elif "sigmas" in cfg:
-        sigmas = np.asarray(cfg["sigmas"], dtype=float)
+        try:
+            sigmas = np.asarray(cfg["sigmas"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"config field 'sigmas': {exc}") from None
     else:
         sigmas = np.ones(p)
     rows, threshold = experiments.phase_diagram(n, p, sigmas, lambda_grid, reps, seed, threads=threads)

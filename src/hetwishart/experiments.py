@@ -4,14 +4,19 @@ and the two-component heteroskedastic clustering application.
 Everything is deterministic given a master seed.  Replicates are the unit of
 parallelism: replicate r of a run always uses the stream keyed by
 (master seed, r) and results are aggregated in replicate order, so a run's
-output is byte-identical whether it used 1 worker or 8.
+output is byte-identical whether it used 1 worker or 8.  Replicates run on one
+BLAS thread (``_one_blas_thread``), so the bits of a product or an eigensolve
+do not depend on how many threads the host's OpenBLAS would use either.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Sequence
@@ -22,7 +27,7 @@ from . import bounds as bounds_mod
 from .errors import ParameterError
 from .profiles import VarianceProfile, summarize
 from .samplers import NoiseModel, SampleSeed, derive_seed, generator, sample
-from .spectral import _extreme_eigenpair, centered_operator, spectral_norm
+from .spectral import _CenteredOperator, _extreme_eigenpair, spectral_norm
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -57,15 +62,68 @@ _SALT_NOISE = 3 << 32
 CLUSTER_TOL = 1e-12
 
 
+@functools.cache
+def _openblas_threads():
+    """(set, get) for the thread count of the OpenBLAS that numpy bundles, the
+    ``libscipy_openblas64_*.so`` under numpy's ``numpy.libs`` directory, or
+    None when there is no such library.  Loaded on first use, not at import."""
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(
+            name for name in os.listdir(libs)
+            if name.startswith("libscipy_openblas64_") and name.endswith(".so")
+        )
+    except OSError:
+        return None
+    if not names:
+        return None
+    try:
+        lib = ctypes.CDLL(os.path.join(libs, names[0]))
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return set_threads, get_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, and restore the count it had
+    on entry afterwards; without a bundled OpenBLAS, pin nothing.  The count
+    is process-wide, so runs on concurrent threads share one pin."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def _run_replicates(fn: Callable[[int], float], n_reps: int, threads: int) -> np.ndarray:
-    """Evaluate fn(0..n_reps-1) with a worker pool; output order is by index."""
+    """Evaluate fn(0..n_reps-1) with a worker pool; output order is by index.
+
+    The whole run, at every ``threads`` value, holds OpenBLAS to one thread
+    (``_one_blas_thread``): a product or eigensolve then gives the same bits
+    whatever the host's BLAS threading, and the workers do not oversubscribe
+    the CPUs with BLAS threads of their own.
+    """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
-    if threads == 1:
-        values = [fn(r) for r in range(n_reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(fn, range(n_reps)))
+    with _one_blas_thread():
+        if threads == 1:
+            values = [fn(r) for r in range(n_reps)]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                values = list(pool.map(fn, range(n_reps)))
     return np.asarray(values, dtype=float)
 
 
@@ -92,13 +150,20 @@ def concentration_norms(
     master_seed: int,
     threads: int = 1,
 ) -> np.ndarray:
-    """Per-replicate values of ||ZZ' - E ZZ'||, indexed by replicate."""
+    """Per-replicate values of ||ZZ' - E ZZ'||, indexed by replicate.
+
+    The model is checked against the profile, and the row sums d of E ZZ' =
+    diag(d) are formed, once per run; each replicate builds the operator of
+    ``spectral.centered_operator`` on its own sample and this d.
+    """
     if n_reps < 1:
         raise ParameterError("n_reps must be >= 1")
+    model.check(profile)
+    d = model.variances(profile).sum(axis=1)
 
     def one(rep: int) -> float:
         Z = sample(profile, model, SampleSeed(master_seed, rep))
-        return spectral_norm(centered_operator(Z, profile, model))
+        return spectral_norm(_CenteredOperator(Z, d))
 
     return _run_replicates(one, n_reps, threads)
 
@@ -183,13 +248,14 @@ def rate_sweep(
     Each grid point runs on its own derived seed, so adding or removing rows
     never perturbs the others.  The bound is the ``bounds.BOUNDS`` entry
     ``bound_id`` (the moment bound for ``moment_tail``); an unknown id raises
-    ParameterError.
+    ParameterError before any replicate runs, even over an empty family.
     """
+    bound_fn = bounds_mod.BOUNDS[bound_id]
     rows = []
     for index, (name, profile) in enumerate(named_profiles):
         row_seed = derive_seed(master_seed, _SALT_SWEEP_ROW | index)
         est = estimate_concentration(profile, model, n_reps, row_seed, threads)
-        bound = bounds_mod.BOUNDS[bound_id](profile, dict(bound_params or {})).value
+        bound = bound_fn(profile, dict(bound_params or {})).value
         ratio = est.mean / bound if bound > 0 else float("nan")
         rows.append(
             SweepRow(

@@ -267,6 +267,10 @@ def _profile_from_payload(payload) -> VarianceProfile:
         return build(payload)
     except KeyError as exc:
         raise ParameterError(f"profile JSON missing field {exc}") from exc
+    except ParameterError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"profile JSON field of the wrong type or shape: {exc}") from None
 
 
 def _read_json(path, what: str):

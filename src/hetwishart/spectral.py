@@ -14,12 +14,14 @@ from .samplers import NoiseModel
 __all__ = ["DENSE_CUTOFF", "centered_operator", "spectral_norm", "trace_power"]
 
 # A dense solve up to this many rows, one Lanczos solve above; only
-# _extreme_eigenpair reads it.  Measured per
-# replicate on centered_operator(Z), Gaussian Z, the two routes interleaved,
-# 2 CPUs, OpenBLAS thread variables unset.  Medians of 60, two runs, dense vs
-# Lanczos: p1 x p1 at 100: 0.57-0.69 vs 0.88-0.99 ms, 128: 0.87-1.00 vs
-# 0.99-1.30, 160: 1.35-1.39 vs 1.16-1.23, 256: 3.9-4.1 vs 2.0-2.2; p1 x 20
-# crosses between 96 (0.31 vs 0.38) and 128 (0.56 vs 0.40), p1 x 400 near 192.
+# _extreme_eigenpair reads it.  Measured per replicate on centered_operator(Z)
+# (dense: toarray and eigvalsh), Gaussian Z, the two routes interleaved, on
+# one OpenBLAS thread as Monte Carlo replicates run, 2-CPU x86_64.  Medians of
+# 60, two runs, dense vs Lanczos: p1 x p1 at 100: 0.55-0.69 vs 0.97-1.27 ms,
+# 128: 0.87-1.03 vs 1.28-1.65, 160: 1.19-1.65 vs 1.25-1.98, 192: 2.27-2.42
+# vs 2.25-2.31, 256: 3.2-3.6 vs 2.3-2.4; p1 x 20 crosses between 96 (0.40 vs
+# 0.61) and 128 (0.50 vs 0.40), p1 x 400 between 224 (3.55 vs 3.9-4.2) and
+# 256 (3.6-3.7 vs 2.8-3.0).  The value stays 128: moving it changes norms.
 DENSE_CUTOFF = 128
 
 # Lanczos basis vectors kept before an explicit restart, and restarts allowed.
@@ -50,18 +52,24 @@ class _CenteredOperator:
     __matmul__ = matvec
 
     def toarray(self) -> np.ndarray:
-        """The p1 x p1 matrix, explicitly symmetrized."""
-        A = self.Z @ self.Z.T
+        """The p1 x p1 matrix, bitwise symmetric with no symmetrizing pass:
+        for a C- or Fortran-ordered Z numpy forms Z @ Z.T as a symmetric
+        product (one triangle, mirrored), so any other Z is copied to C order
+        first, and only the diagonal changes afterwards."""
+        Z = self.Z
+        if not (Z.flags.c_contiguous or Z.flags.f_contiguous):
+            Z = np.ascontiguousarray(Z)
+        A = Z @ Z.T
         A[np.diag_indices_from(A)] -= self.d
-        return (A + A.T) / 2.0
+        return A
 
 
 def centered_operator(
     Z: np.ndarray, profile: VarianceProfile, model: NoiseModel
 ) -> _CenteredOperator:
     """ZZ' - E ZZ' as a plain symmetric operator (``shape``, ``@``, ``matvec``,
-    ``toarray``) in O(p1 p2) memory; ``toarray`` forms the symmetrized p1 x p1
-    matrix.  E ZZ' = diag(d), d the row sums of the entry variances."""
+    ``toarray``) in O(p1 p2) memory; ``toarray`` forms the bitwise symmetric
+    p1 x p1 matrix.  E ZZ' = diag(d), d the row sums of the entry variances."""
     Z = np.asarray(Z, dtype=float)
     if Z.shape != profile.shape:
         raise ParameterError(f"Z shape {Z.shape} does not match profile shape {profile.shape}")

@@ -275,9 +275,22 @@ def _bad_input_args(tmp_path):
         "sweep_reps_not_a_number": {"family": family, "reps": "x"},
         "sweep_count_not_a_number": {"family": {**family, "count": "two"}, "reps": 2},
         "sweep_family_not_an_object": {"family": "list", "reps": 2},
+        "sweep_unknown_bound_empty_family": {"family": {"kind": "list", "profiles": []},
+                                             "bound": {"id": "bogus"}, "reps": 2},
     }
     for name, cfg in sweeps.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    bad_profiles = {
+        "profile_other_dim_not_a_number": {"kind": "homoskedastic_rows", "sigmas": [1.0],
+                                           "other_dim": "x"},
+        "profile_ragged_sigma": {"kind": "explicit", "sigma": [[1.0, 0.5], [1.0]]},
+    }
+    for name, payload in bad_profiles.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    sigmas_not_numbers = tmp_path / "sigmas_not_numbers.json"
+    sigmas_not_numbers.write_text(json.dumps({
+        "n": 4, "p": 3, "reps": 2, "lambdas": [1.0], "seed": 1, "sigmas": "abc",
+    }))
     simulate = ["simulate", "--profile", profile, "--reps", "2", "--seed", "1"]
     return {
         **{name: ["sweep", "--config", str(tmp_path / f"{name}.json"), "--seed", "1",
@@ -304,6 +317,8 @@ def _bad_input_args(tmp_path):
         "oracle_without_profile": ["oracle", "--check", "trace", "--q", "2"],
         "model_param_not_a_number": ["simulate", "--profile", profile, "--reps", "2", "--seed", "1",
                                      "--model", '{"model":"bounded","params":{"B":"x"}}'],
+        **{name: ["profile", "--in", str(tmp_path / f"{name}.json")] for name in bad_profiles},
+        "cluster_sigmas_not_numbers": ["cluster", "--config", str(sigmas_not_numbers)],
     }
 
 
@@ -315,7 +330,8 @@ def _bad_input_args(tmp_path):
     "simulate_missing_config", "model_malformed_inline", "model_missing_file",
     "model_list_read_as_path", "model_malformed_file", "profile_missing_in",
     "profile_malformed_in", "simulate_missing_profile", "bound_missing_profile",
-    "oracle_missing_profile",
+    "oracle_missing_profile", "profile_other_dim_not_a_number", "profile_ragged_sigma",
+    "cluster_sigmas_not_numbers", "sweep_unknown_bound_empty_family",
 ])
 def test_bad_input_exits_3_with_error_line(tmp_path, capsys, case):
     assert main(_bad_input_args(tmp_path)[case]) == 3
@@ -429,3 +445,19 @@ def test_simulate_on_the_lanczos_route_is_thread_independent(tmp_path, capsys):
         assert out["config"].pop("threads") == int(threads)
         outs.append(json.dumps(out))
     assert outs[0] == outs[1]  # floats round-trip exactly through JSON
+
+
+def test_simulate_output_is_independent_of_blas_threads(tmp_path):
+    """The same ``simulate --threads 2`` run on the dense route writes the same
+    bytes under 1 and 2 OpenBLAS threads: replicates run on one BLAS thread
+    whatever the process was started with."""
+    path = write_profile(tmp_path, np.random.default_rng(7).uniform(size=(100, 100)))
+    outs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"out{blas_threads}.json"
+        env = {**os.environ, "PYTHONPATH": str(_SRC), "OPENBLAS_NUM_THREADS": blas_threads}
+        subprocess.run([sys.executable, "-m", "hetwishart.cli", "simulate", "--profile", path,
+                        "--reps", "200", "--seed", "5", "--threads", "2", "--out", str(out)],
+                       capture_output=True, env=env, check=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

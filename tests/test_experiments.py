@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hetwishart import (
     spectral_cluster,
     tail_empirics,
 )
-from hetwishart import spectral
+from hetwishart import experiments, spectral
 from hetwishart.bounds import BOUNDS
 from hetwishart.experiments import (
     concentration_norms,
@@ -125,6 +126,45 @@ def test_rate_sweep_single_point_and_csv_determinism():
     csv2 = sweep_rows_to_csv(rows2)
     assert csv1 == csv2
     assert csv1.splitlines()[0].startswith("name,p1,p2")
+
+
+def test_rate_sweep_rejects_an_unknown_bound_before_any_replicate():
+    profiles = iter([("only", VarianceProfile(np.full((4, 4), 0.5)))])
+    with pytest.raises(ParameterError, match="bogus"):
+        rate_sweep(profiles, Gaussian(), 2, "bogus", 1)
+    assert next(profiles)[0] == "only"  # the family was never read
+
+
+def _bundled_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("name") == "scipy-openblas" and sys.platform.startswith("linux")
+
+
+@pytest.mark.skipif(not _bundled_openblas(), reason="numpy does not bundle scipy-openblas here")
+@pytest.mark.parametrize("threads", [1, 3])
+def test_replicates_run_on_one_blas_thread(threads):
+    """Each replicate reads OpenBLAS's thread count as 1, and the count the
+    process had on entry comes back after the run, also when a replicate raises."""
+    blas = experiments._openblas_threads()
+    assert blas is not None
+    set_threads, get_threads = blas
+    initial = get_threads()
+    set_threads(2)
+    try:
+        seen = experiments._run_replicates(lambda rep: get_threads(), 4, threads)
+        assert seen.tolist() == [1.0] * 4
+        assert get_threads() == 2
+
+        def failing(rep):
+            if rep == 2:
+                raise NumericalError("replicate 2 failed")
+            return 0.0
+
+        with pytest.raises(NumericalError):
+            experiments._run_replicates(failing, 4, threads)
+        assert get_threads() == 2
+    finally:
+        set_threads(initial)
 
 
 def rows_seed(master, index):

@@ -64,6 +64,21 @@ def test_centered_gram_diagonal_and_symmetry():
     assert np.allclose(np.diag(A), expected_diag, rtol=1e-12)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_toarray_is_bitwise_symmetric(layout):
+    """The dense route's matrix needs no symmetrizing pass: it is bitwise
+    symmetric for every memory layout of Z."""
+    rng = np.random.default_rng(11)
+    Z = {
+        "C": lambda: rng.standard_normal((100, 70)),
+        "F": lambda: np.asfortranarray(rng.standard_normal((100, 70))),
+        "strided": lambda: rng.standard_normal((200, 210))[::2, ::3],
+    }[layout]()
+    profile = VarianceProfile(np.full(Z.shape, 0.5))
+    A = centered_operator(Z, profile, Gaussian()).toarray()
+    assert np.array_equal(A, A.T)
+
+
 def test_centered_gram_dim_mismatch():
     with pytest.raises(ParameterError):
         centered_operator(np.zeros((2, 2)), VarianceProfile(np.ones((3, 4))), Gaussian())
