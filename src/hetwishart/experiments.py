@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import io
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Sequence
@@ -27,7 +25,7 @@ from . import bounds as bounds_mod
 from .errors import ParameterError
 from .profiles import VarianceProfile, summarize
 from .samplers import NoiseModel, SampleSeed, derive_seed, generator, sample
-from .spectral import _CenteredOperator, _extreme_eigenpair, spectral_norm
+from .spectral import _CenteredOperator, _extreme_eigenpair, _openblas, spectral_norm
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -62,50 +60,21 @@ _SALT_NOISE = 3 << 32
 CLUSTER_TOL = 1e-12
 
 
-@functools.cache
-def _openblas_threads():
-    """(set, get) for the thread count of the OpenBLAS that numpy bundles, the
-    ``libscipy_openblas64_*.so`` under numpy's ``numpy.libs`` directory, or
-    None when there is no such library.  Loaded on first use, not at import."""
-    import ctypes
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    try:
-        names = sorted(
-            name for name in os.listdir(libs)
-            if name.startswith("libscipy_openblas64_") and name.endswith(".so")
-        )
-    except OSError:
-        return None
-    if not names:
-        return None
-    try:
-        lib = ctypes.CDLL(os.path.join(libs, names[0]))
-        set_threads = lib.scipy_openblas_set_num_threads64_
-        get_threads = lib.scipy_openblas_get_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    return set_threads, get_threads
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with OpenBLAS on one thread, and restore the count it had
     on entry afterwards; without a bundled OpenBLAS, pin nothing.  The count
     is process-wide, so runs on concurrent threads share one pin."""
-    blas = _openblas_threads()
-    if blas is None:
+    lib = _openblas()
+    if lib is None:
         yield
         return
-    set_threads, get_threads = blas
-    before = get_threads()
-    set_threads(1)
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        set_threads(before)
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _run_replicates(fn: Callable[[int], float], n_reps: int, threads: int) -> np.ndarray:

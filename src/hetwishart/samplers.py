@@ -129,7 +129,10 @@ class Gaussian(NoiseModel):
     kind = "gaussian"
 
     def draw(self, rng, sigma):
-        return sigma * rng.standard_normal(sigma.shape)
+        """sigma * N(0, 1), scaled in place in the draws."""
+        z = rng.standard_normal(sigma.shape)
+        z *= sigma
+        return z
 
     def kappa(self):
         return math.sqrt(2.0 / math.pi)
@@ -164,7 +167,10 @@ class Bounded(NoiseModel):
             )
 
     def draw(self, rng, sigma):
-        return sigma * rng.uniform(-_SQRT3, _SQRT3, size=sigma.shape)
+        """sigma * Uniform[-sqrt(3), sqrt(3)], scaled in place in the draws."""
+        u = rng.uniform(-_SQRT3, _SQRT3, size=sigma.shape)
+        u *= sigma
+        return u
 
     def kappa(self):
         return _SQRT3 / 2.0

@@ -3,7 +3,10 @@ and the one extreme-eigenpair route that spectral norms and clustering share."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -14,8 +17,11 @@ from .samplers import NoiseModel
 __all__ = ["DENSE_CUTOFF", "centered_operator", "spectral_norm", "trace_power"]
 
 # A dense solve up to this many rows, one Lanczos solve above; only
-# _extreme_eigenpair reads it.  Measured per replicate on centered_operator(Z)
-# (dense: toarray and eigvalsh), Gaussian Z, the two routes interleaved, on
+# _extreme_eigenpair reads it.  The dense norm is _eigvalsh: LAPACK dsyevd of
+# numpy's bundled OpenBLAS called through ctypes, which releases the GIL, or
+# np.linalg.eigvalsh (the same call, GIL held) without that library.
+# Measured per replicate on centered_operator(Z) (dense: toarray and
+# np.linalg.eigvalsh), Gaussian Z, the two routes interleaved, on
 # one OpenBLAS thread as Monte Carlo replicates run, 2-CPU x86_64.  Medians of
 # 60, two runs, dense vs Lanczos: p1 x p1 at 100: 0.55-0.69 vs 0.97-1.27 ms,
 # 128: 0.87-1.03 vs 1.28-1.65, 160: 1.19-1.65 vs 1.25-1.98, 192: 2.27-2.42
@@ -34,6 +40,82 @@ _RITZ_CHECK = 5
 # Residual tolerance of spectral_norm's Lanczos certificate.
 _NORM_TOL = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy bundles, the ``libscipy_openblas64_*.so`` under
+    numpy's ``numpy.libs`` directory, as a ``ctypes.CDLL`` with the entry
+    points the package calls typed (thread count get/set, ``dsyevd``), or
+    None when there is no such library.  Loaded on first use, not at import."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = min(
+            name for name in os.listdir(libs)
+            if name.startswith("libscipy_openblas64_") and name.endswith(".so")
+        )
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        dsyevd = lib.scipy_dsyevd_64_
+    except (OSError, ValueError, AttributeError):
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the
+    # hidden Fortran lengths of jobz and uplo; integers are 64-bit (ILP64)
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    dsyevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, ptr, i64, ptr, ptr, i64,
+                       ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
+    dsyevd.restype = None
+    return lib
+
+
+def _dsyevd(n: int, a: np.ndarray, w: np.ndarray, work: np.ndarray, iwork: np.ndarray,
+            query: bool = False) -> int:
+    """One dsyevd call, jobz N and uplo L, on the Fortran-ordered order-n
+    matrix in a (overwritten), eigenvalues into w; returns LAPACK's info.
+    The size ``query`` writes lwork and liwork into work[0] and iwork[0]."""
+    lwork, liwork = (-1, -1) if query else (work.size, iwork.size)
+    info = ctypes.c_int64(0)
+    _openblas().scipy_dsyevd_64_(
+        b"N", b"L", ctypes.c_int64(n), a.ctypes.data, ctypes.c_int64(max(n, 1)), w.ctypes.data,
+        work.ctypes.data, ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork),
+        info, 1, 1,
+    )
+    return info.value
+
+
+@functools.cache
+def _dsyevd_workspace(n: int) -> tuple[int, int]:
+    """(lwork, liwork) from dsyevd's size query at order n, the workspace
+    numpy's gufunc asks for before each call; the block size of the
+    tridiagonal reduction, and so the bits, follow from it."""
+    work, iwork = np.zeros(1), np.zeros(1, dtype=np.int64)
+    _dsyevd(n, np.zeros(1), np.zeros(1), work, iwork, query=True)
+    return int(work[0]), int(iwork[0])
+
+
+def _eigvalsh(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real square A from its lower triangle,
+    bitwise those of ``np.linalg.eigvalsh(A)``: the same LAPACK dsyevd (jobz N,
+    uplo L, the workspace of its size query) on a Fortran-ordered copy, as
+    numpy's gufunc makes it, but called through ctypes, which releases the
+    GIL, so replicates on a thread pool overlap their solves.  Without the
+    bundled OpenBLAS (``_openblas``) it is ``np.linalg.eigvalsh``.  A nonzero
+    info raises ``LinAlgError``, as numpy does."""
+    if _openblas() is None:
+        return np.linalg.eigvalsh(A)
+    a = np.array(A, dtype=float, order="F")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise np.linalg.LinAlgError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    lwork, liwork = _dsyevd_workspace(n)
+    w = np.empty(n)
+    info = _dsyevd(n, a, w, np.empty(lwork), np.empty(liwork, dtype=np.int64))
+    if info:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info})")
+    return w
 
 
 class _CenteredOperator:
@@ -154,10 +236,13 @@ def _extreme_eigenpair(
     place that picks a solver for it.  Above DENSE_CUTOFF rows it is the
     certified Lanczos pair (``_certified_lanczos_pair``) of A itself.  At or
     below the cutoff, or when that pair is not certified, A is formed once (an
-    operator's ``toarray``) and solved densely: ``eigh`` if ``vector``, else
-    ``eigvalsh``, about twice as fast, with v = None.  Of the two ends of the
-    ascending spectrum the larger |lam| wins, and a tie goes to the top end.
-    A failed dense solve raises NumericalError."""
+    operator's ``toarray``) and solved densely: ``np.linalg.eigh`` if
+    ``vector``, else ``_eigvalsh``, about twice as fast, with v = None.
+    ``_eigvalsh`` is LAPACK dsyevd of numpy's bundled OpenBLAS called through
+    ctypes, which releases the GIL, and ``np.linalg.eigvalsh`` (same bits, GIL
+    held) without that library.  Of the two ends of the ascending spectrum the
+    larger |lam| wins, and a tie goes to the top end.  A failed dense solve
+    raises NumericalError."""
     if A.shape[0] > DENSE_CUTOFF:
         pair = _certified_lanczos_pair(A, tol)
         if pair is not None:
@@ -165,7 +250,7 @@ def _extreme_eigenpair(
     # small, or not certified: the dense route is exact up to machine precision
     dense = A.toarray() if isinstance(A, _CenteredOperator) else A
     try:
-        lams, vecs = np.linalg.eigh(dense) if vector else (np.linalg.eigvalsh(dense), None)
+        lams, vecs = np.linalg.eigh(dense) if vector else (_eigvalsh(dense), None)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     k = 0 if -lams[0] > lams[-1] else -1
@@ -177,10 +262,14 @@ def spectral_norm(A: np.ndarray | _CenteredOperator) -> float:
 
     A is a symmetric ndarray (asymmetry beyond 1e-9 relative is rejected) or
     the operator ``centered_operator`` returns.  The value is |lam| of
-    ``_extreme_eigenpair``: the dense ``eigvalsh`` one up to DENSE_CUTOFF
-    rows, above it that of one Lanczos solve on A itself, returned only under
-    the residual certificate ||Av - lam v|| <= _NORM_TOL |lam| (1e-8), and the
-    dense one again when the certificate does not hold.
+    ``_extreme_eigenpair``: the dense one up to DENSE_CUTOFF rows, above it
+    that of one Lanczos solve on A itself, returned only under the residual
+    certificate ||Av - lam v|| <= _NORM_TOL |lam| (1e-8), and the dense one
+    again when the certificate does not hold.  The dense eigenvalues come
+    from ``_eigvalsh``: LAPACK dsyevd of numpy's bundled OpenBLAS through
+    ctypes, with ``np.linalg.eigvalsh``'s bits and the GIL released, so
+    replicates on a thread pool overlap their solves; without that library,
+    ``np.linalg.eigvalsh`` itself.
     """
     op = A if isinstance(A, _CenteredOperator) else _check_symmetric(A)
     if op.shape[0] == 0:

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -135,19 +134,13 @@ def test_rate_sweep_rejects_an_unknown_bound_before_any_replicate():
     assert next(profiles)[0] == "only"  # the family was never read
 
 
-def _bundled_openblas() -> bool:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return blas.get("name") == "scipy-openblas" and sys.platform.startswith("linux")
-
-
-@pytest.mark.skipif(not _bundled_openblas(), reason="numpy does not bundle scipy-openblas here")
 @pytest.mark.parametrize("threads", [1, 3])
-def test_replicates_run_on_one_blas_thread(threads):
+def test_replicates_run_on_one_blas_thread(threads, bundled_openblas):
     """Each replicate reads OpenBLAS's thread count as 1, and the count the
     process had on entry comes back after the run, also when a replicate raises."""
-    blas = experiments._openblas_threads()
-    assert blas is not None
-    set_threads, get_threads = blas
+    lib = spectral._openblas()
+    assert lib is not None
+    set_threads, get_threads = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
     initial = get_threads()
     set_threads(2)
     try:

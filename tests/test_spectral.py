@@ -6,9 +6,11 @@ import scipy.sparse.linalg
 
 from hetwishart import (
     Bernoulli,
+    Bounded,
     ContractError,
     Gaussian,
     HeavyTail,
+    NumericalError,
     ParameterError,
     SampleSeed,
     VarianceProfile,
@@ -131,6 +133,55 @@ def test_spectral_norm_rejects_asymmetric():
 
 def test_spectral_norm_zero_matrix_large():
     assert spectral_norm(np.zeros((128, 128))) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 100, 127, 128])
+def test_eigvalsh_equals_numpy_bitwise(n):
+    """The dense norm solve gives numpy's bits, on symmetric matrices and on
+    the lower triangle of asymmetric ones, in C order, in Fortran order and
+    as a strided view."""
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    strided = rng.standard_normal((2 * n, 3 * n))[::2, 1::3]
+    for layout in (A, np.asfortranarray(A), strided):
+        for M in (layout, layout + layout.T):
+            assert np.array_equal(spectral._eigvalsh(M), np.linalg.eigvalsh(M))
+
+
+def _dense_route_outputs():
+    rng = np.random.default_rng(12)
+    profile = VarianceProfile(rng.uniform(0.0, 1.0, (100, 100)))
+    norms = concentration_norms(profile, Gaussian(), 6, master_seed=13, threads=2)
+    return [spectral_norm(random_symmetric(rng, n)) for n in (1, 3, 64, 128)], norms.tobytes()
+
+
+def test_dense_route_without_bundled_openblas_gives_the_same_bytes(monkeypatch):
+    """Without the bundled library the dense solve is numpy's, with the same bits."""
+    expected = _dense_route_outputs()
+    monkeypatch.setattr(spectral, "_openblas", lambda: None)
+    assert _dense_route_outputs() == expected
+
+
+@pytest.mark.parametrize("library", ["bundled", "absent"])
+def test_dense_route_raises_numerical_error_on_nan(monkeypatch, library):
+    if library == "absent":
+        monkeypatch.setattr(spectral, "_openblas", lambda: None)
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral._eigvalsh(np.full((5, 5), np.nan))
+    with pytest.raises(NumericalError):
+        spectral_norm(np.full((5, 5), np.nan))
+
+
+def test_dense_route_does_not_call_numpy_with_bundled_openblas(monkeypatch, bundled_openblas):
+    """The dense norm solve goes through the bundled LAPACK, not np.linalg.eigvalsh."""
+    A = random_symmetric(np.random.default_rng(14), 50)
+    expected = float(np.abs(np.linalg.eigvalsh(A)).max())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert spectral_norm(A) == expected
 
 
 def _bernoulli_with_constant_rows(p1, p2):
@@ -346,6 +397,17 @@ def test_heavy_tail_draw_builds_in_place():
     Z, peak = _traced_peak(lambda: sample(profile, HeavyTail(1.5), SampleSeed(4, 0)))
     assert peak <= 2.25 * Z.nbytes
     Z, peak = _traced_peak(lambda: sample(profile, HeavyTail(1.0), SampleSeed(4, 0)))
+    assert peak <= 1.25 * Z.nbytes
+
+
+@pytest.mark.parametrize("model", [Gaussian(), Bounded(B=2.0)])
+def test_draw_scales_by_sigma_in_place(model):
+    """A Gaussian or bounded draw is scaled by sigma in place: the peak is
+    the one p1 x p2 draw, not the draw and the scaled copy.  At 100 x 100, a
+    Monte Carlo replicate's size, the draw is below the 256 KiB from which
+    numpy elides the temporary of ``sigma * draw`` by itself."""
+    profile = VarianceProfile(np.ones((100, 100)))
+    Z, peak = _traced_peak(lambda: sample(profile, model, SampleSeed(4, 0)))
     assert peak <= 1.25 * Z.nbytes
 
 
