@@ -13,7 +13,7 @@ pins the growth rate, not the constant.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,6 @@ class BoundReport:
     def __post_init__(self):
         if self.value < 0:
             raise ParameterError(f"bound value must be nonnegative, got {self.value}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def c1_constant(eps1: float) -> float:
@@ -188,9 +185,6 @@ class MomentTail:
     tail_threshold: float
     tail_prob: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     @property
     def value(self) -> float:
         return self.moment_bound
@@ -282,9 +276,12 @@ def _param(params: dict, name: str, default: float | None = None) -> float | Non
     if value is None:
         return None
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ParameterError(f"bound parameter {name!r} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ParameterError(f"bound parameter {name!r} must be finite, got {value!r}")
+    return number
 
 
 def _structured(kind: str):

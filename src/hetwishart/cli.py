@@ -10,6 +10,7 @@ no wall-clock fallback.  Exit codes: 0 success, 2 usage, 3 validation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -90,7 +91,7 @@ def cmd_profile(args) -> int:
     s = profiles.summarize(prof)
     if args.out:
         _atomic_write(args.out, profiles.profile_to_json(prof) + "\n")
-    _emit(None, {"p1": prof.p1, "p2": prof.p2, **vars(s)})
+    _emit(None, {"p1": prof.p1, "p2": prof.p2, **dataclasses.asdict(s)})
     return 0
 
 
@@ -103,7 +104,7 @@ _BOUND_FLAGS = ("eps1", "eps2", "b", "x", "C", "alpha", "B", "c0")
 def cmd_bound(args) -> int:
     bound = bounds.BOUNDS[args.id]
     params = {k: getattr(args, k) for k in _BOUND_FLAGS if getattr(args, k) is not None}
-    report = bound(profiles.load_profile(args.profile), params).to_json_dict()
+    report = dataclasses.asdict(bound(profiles.load_profile(args.profile), params))
     report.setdefault("bound_id", args.id)
     _emit(args.out, report)
     return 0
@@ -120,7 +121,7 @@ def cmd_simulate(args) -> int:
     if args.profile:
         prof = profiles.load_profile(args.profile)
     elif "profile" in cfg:
-        prof = profiles.profile_from_json(json.dumps(cfg["profile"]))
+        prof = profiles._profile_from_payload(cfg["profile"])
     else:
         raise ParameterError("--profile (or a config with one) is required")
     model = _load_model(args.model) if args.model else samplers.model_from_json_dict(
@@ -134,7 +135,7 @@ def cmd_simulate(args) -> int:
         "seed": seed,
         "threads": threads,
     }
-    _emit(args.out, {"command": "simulate", "config": resolved, "estimate": est.to_json_dict()})
+    _emit(args.out, {"command": "simulate", "config": resolved, "estimate": dataclasses.asdict(est)})
     return 0
 
 
@@ -149,7 +150,7 @@ def _oracle_profile(args) -> profiles.VarianceProfile:
 
 def _check(fn):
     """A comparison check on the profile; the payload is its ComparisonResult."""
-    return lambda args: vars(fn(_oracle_profile(args), args.q))
+    return lambda args: dataclasses.asdict(fn(_oracle_profile(args), args.q))
 
 
 def _paired(args) -> dict:
@@ -157,7 +158,7 @@ def _paired(args) -> dict:
         raise ParameterError("--xs x1,x2,x3,x4,x5 is required for the paired check")
     if len(args.xs) != 5:
         raise ParameterError("--xs must list exactly five integers")
-    return vars(moment_oracle.check_paired_moment(*args.xs))
+    return dataclasses.asdict(moment_oracle.check_paired_moment(*args.xs))
 
 
 def _moment(fn):
@@ -195,7 +196,7 @@ _NamedProfiles = list[tuple[str, profiles.VarianceProfile]]
 def _listed_profiles(family: dict, family_seed: int) -> _NamedProfiles:
     out = []
     for entry in family["profiles"]:
-        prof = profiles.profile_from_json(json.dumps(entry["profile"]))
+        prof = profiles._profile_from_payload(entry["profile"])
         out.append((str(entry.get("name", f"profile{len(out)}")), prof))
     return out
 
@@ -302,6 +303,8 @@ def cmd_cluster(args) -> int:
     p = _setting(args, cfg, "p")
     reps = _setting(args, cfg, "reps")
     lambda_grid = _setting(args, cfg, "lambdas", convert=lambda values: list(map(float, values)))
+    if p < 1:
+        raise ParameterError("p must be >= 1")
     if args.sigma_const is not None:
         sigmas = np.full(p, args.sigma_const)
     elif "sigmas" in cfg:

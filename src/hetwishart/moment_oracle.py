@@ -390,17 +390,15 @@ def check_paired_moment(x1: int, x2: int, x3: int, x4: int, x5: int) -> Comparis
     return ComparisonResult(float(lhs), float(rhs), lhs <= rhs + 1e-12, 0)
 
 
-def subgaussian_moment_envelope(
-    alpha: int, beta: int, kappa: float, envelope_constant: float = ENVELOPE_CONSTANT
-) -> float:
+def subgaussian_moment_envelope(alpha: int, beta: int, kappa: float) -> float:
     """Diagnostic envelope (C kappa)^(alpha+2beta) E G^alpha (G^2-1)^beta.
 
     kappa is the moment-based norm sup_q q^(-1/2) (E|Z|^q)^(1/q) of the
     standardized entry; any unit-variance variable has kappa >= 1/sqrt(2).
-    The constant C is calibration, not a proved optimum.
+    C is ENVELOPE_CONSTANT, a calibration, not a proved optimum.
     """
     if kappa < 1.0 / math.sqrt(2.0) - 1e-12:
         raise ParameterError("kappa must be >= 1/sqrt(2) for a unit-variance variable")
     if alpha % 2 == 1:
         return 0.0
-    return (envelope_constant * kappa) ** (alpha + 2 * beta) * gaussian_moment(alpha, beta)
+    return (ENVELOPE_CONSTANT * kappa) ** (alpha + 2 * beta) * gaussian_moment(alpha, beta)

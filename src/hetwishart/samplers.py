@@ -188,7 +188,7 @@ class Bernoulli(NoiseModel):
         arr = np.asarray(self.theta, dtype=float)
         if arr.ndim != 2:
             raise ParameterError("theta must be a 2-d grid")
-        if np.any(arr < 0) or np.any(arr > 1):
+        if not np.all((arr >= 0) & (arr <= 1)):
             raise ParameterError("theta entries must lie in [0, 1]")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -233,8 +233,8 @@ class HeavyTail(NoiseModel):
     kind = "heavy_tail"
 
     def __post_init__(self):
-        if self.b < 1.0:
-            raise ParameterError("b must be >= 1")
+        if not 1.0 <= self.b < math.inf:
+            raise ParameterError("b must be finite and >= 1")
 
     def draw(self, rng, sigma):
         """sigma * (G |H|^(b-1) / heavy_tail_scale(b)), written in place into

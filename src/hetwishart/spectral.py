@@ -3,6 +3,7 @@ and the one extreme-eigenpair route that spectral norms and clustering share."""
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -17,12 +18,10 @@ from .samplers import NoiseModel
 __all__ = ["DENSE_CUTOFF", "centered_operator", "spectral_norm", "trace_power"]
 
 # A dense solve up to this many rows, one Lanczos solve above; only
-# _extreme_eigenpair reads it.  The dense norm is _eigvalsh: LAPACK dsyevd of
-# numpy's bundled OpenBLAS called through ctypes, which releases the GIL, or
-# np.linalg.eigvalsh (the same call, GIL held) without that library.
-# Measured per replicate on centered_operator(Z) (dense: toarray and
-# np.linalg.eigvalsh), Gaussian Z, the two routes interleaved, on
-# one OpenBLAS thread as Monte Carlo replicates run, 2-CPU x86_64.  Medians of
+# _extreme_eigenpair reads it; the dense norm solve is _eigvalsh, which says
+# how it runs.  Measured per replicate on centered_operator(Z) (dense: toarray
+# and np.linalg.eigvalsh), Gaussian Z, the two routes interleaved, on one
+# OpenBLAS thread as Monte Carlo replicates run, 2-CPU x86_64.  Medians of
 # 60, two runs, dense vs Lanczos: p1 x p1 at 100: 0.55-0.69 vs 0.97-1.27 ms,
 # 128: 0.87-1.03 vs 1.28-1.65, 160: 1.19-1.65 vs 1.25-1.98, 192: 2.27-2.42
 # vs 2.25-2.31, 256: 3.2-3.6 vs 2.3-2.4; p1 x 20 crosses between 96 (0.40 vs
@@ -69,6 +68,24 @@ def _openblas():
                        ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
     dsyevd.restype = None
     return lib
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, and restore the count it had
+    on entry afterwards; without a bundled OpenBLAS (``_openblas``), pin
+    nothing.  The count is process-wide, so runs on concurrent threads share
+    one pin."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _dsyevd(n: int, a: np.ndarray, w: np.ndarray, work: np.ndarray, iwork: np.ndarray,
@@ -237,12 +254,9 @@ def _extreme_eigenpair(
     certified Lanczos pair (``_certified_lanczos_pair``) of A itself.  At or
     below the cutoff, or when that pair is not certified, A is formed once (an
     operator's ``toarray``) and solved densely: ``np.linalg.eigh`` if
-    ``vector``, else ``_eigvalsh``, about twice as fast, with v = None.
-    ``_eigvalsh`` is LAPACK dsyevd of numpy's bundled OpenBLAS called through
-    ctypes, which releases the GIL, and ``np.linalg.eigvalsh`` (same bits, GIL
-    held) without that library.  Of the two ends of the ascending spectrum the
-    larger |lam| wins, and a tie goes to the top end.  A failed dense solve
-    raises NumericalError."""
+    ``vector``, else ``_eigvalsh``, about twice as fast, with v = None.  Of
+    the two ends of the ascending spectrum the larger |lam| wins, and a tie
+    goes to the top end.  A failed dense solve raises NumericalError."""
     if A.shape[0] > DENSE_CUTOFF:
         pair = _certified_lanczos_pair(A, tol)
         if pair is not None:
@@ -266,10 +280,7 @@ def spectral_norm(A: np.ndarray | _CenteredOperator) -> float:
     that of one Lanczos solve on A itself, returned only under the residual
     certificate ||Av - lam v|| <= _NORM_TOL |lam| (1e-8), and the dense one
     again when the certificate does not hold.  The dense eigenvalues come
-    from ``_eigvalsh``: LAPACK dsyevd of numpy's bundled OpenBLAS through
-    ctypes, with ``np.linalg.eigvalsh``'s bits and the GIL released, so
-    replicates on a thread pool overlap their solves; without that library,
-    ``np.linalg.eigvalsh`` itself.
+    from ``_eigvalsh``.
     """
     op = A if isinstance(A, _CenteredOperator) else _check_symmetric(A)
     if op.shape[0] == 0:

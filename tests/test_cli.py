@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,8 @@ def test_simulate_round_trips_its_config(tmp_path, capsys):
     ]) == 0
     first = json.loads(out_path.read_text())
     capsys.readouterr()
+    assert list(first["estimate"]) == ["mean", "n_reps", "quantiles", "std_err"]
+    assert list(first["estimate"]["quantiles"]) == ["0.05", "0.25", "0.5", "0.75", "0.95"]
 
     cfg_path = tmp_path / "echo.json"
     cfg_path.write_text(json.dumps(first["config"]))
@@ -194,19 +197,19 @@ def test_cluster_subcommand(tmp_path, capsys):
 BOUND_FLAGS = ["--alpha", "1.5", "--B", "2.0"]
 ONES = VarianceProfile(np.ones((3, 5)))
 EXPECTED_REPORTS = {
-    "gaussian": lambda s: gaussian_upper_bound(s, 0.1, 0.1).to_json_dict(),
-    "symmetrization": lambda s: baseline_bounds(s, 5)[0].to_json_dict(),
-    "matrix_sum": lambda s: baseline_bounds(s, 5)[1].to_json_dict(),
-    "lower_bound": lambda s: lower_bound_rate(s, 3, 5).to_json_dict(),
-    "structured_rows": lambda s: structured_rates("rows", np.ones(3), 5).to_json_dict(),
-    "structured_columns": lambda s: structured_rates("columns", np.ones(5), 3).to_json_dict(),
-    "moment_tail": lambda s: {**moment_and_tail(s, 2.0, 1.0, 1.0).to_json_dict(),
+    "gaussian": lambda s: asdict(gaussian_upper_bound(s, 0.1, 0.1)),
+    "symmetrization": lambda s: asdict(baseline_bounds(s, 5)[0]),
+    "matrix_sum": lambda s: asdict(baseline_bounds(s, 5)[1]),
+    "lower_bound": lambda s: asdict(lower_bound_rate(s, 3, 5)),
+    "structured_rows": lambda s: asdict(structured_rates("rows", np.ones(3), 5)),
+    "structured_columns": lambda s: asdict(structured_rates("columns", np.ones(5), 3)),
+    "moment_tail": lambda s: {**asdict(moment_and_tail(s, 2.0, 1.0, 1.0)),
                               "bound_id": "moment_tail"},
     **{
         f"unified_{family}": (
-            lambda s, family=family: unified_bound(
+            lambda s, family=family: asdict(unified_bound(
                 s, family, alpha=1.5, B=2.0, p_max=5, c0=1.0
-            ).to_json_dict()
+            ))
         )
         for family in _FAMILY_ALIASES
     },
@@ -291,7 +294,15 @@ def _bad_input_args(tmp_path):
     sigmas_not_numbers.write_text(json.dumps({
         "n": 4, "p": 3, "reps": 2, "lambdas": [1.0], "seed": 1, "sigmas": "abc",
     }))
+    nan_bound = tmp_path / "nan_bound.json"
+    nan_bound.write_text(json.dumps({
+        "family": {"kind": "list", "profiles": [{"profile": {"kind": "explicit",
+                                                             "sigma": [[0.5, 0.5]]}}]},
+        "bound": {"id": "gaussian", "eps1": float("nan")}, "reps": 2,
+    }))
     simulate = ["simulate", "--profile", profile, "--reps", "2", "--seed", "1"]
+    cluster = ["cluster", "--n", "30", "--lambdas", "1.0", "--seed", "1"]
+    bound = ["bound", "--profile", profile]
     return {
         **{name: ["sweep", "--config", str(tmp_path / f"{name}.json"), "--seed", "1",
                   "--out", str(tmp_path / f"{name}.csv")] for name in sweeps},
@@ -319,6 +330,22 @@ def _bad_input_args(tmp_path):
                                      "--model", '{"model":"bounded","params":{"B":"x"}}'],
         **{name: ["profile", "--in", str(tmp_path / f"{name}.json")] for name in bad_profiles},
         "cluster_sigmas_not_numbers": ["cluster", "--config", str(sigmas_not_numbers)],
+        "cluster_reps_zero": [*cluster, "--p", "10", "--reps", "0"],
+        "cluster_reps_negative": [*cluster, "--p", "10", "--reps", "-3"],
+        "cluster_p_zero": [*cluster, "--p", "0", "--reps", "2"],
+        "cluster_p_negative": [*cluster, "--p", "-5", "--reps", "2", "--sigma-const", "1"],
+        "bound_eps1_nan": [*bound, "--id", "gaussian", "--eps1", "nan"],
+        "bound_eps1_inf": [*bound, "--id", "gaussian", "--eps1", "inf"],
+        "bound_B_nan": [*bound, "--id", "unified_bounded", "--B", "nan"],
+        "bound_b_nan": [*bound, "--id", "moment_tail", "--b", "nan"],
+        "sweep_bound_param_nan": ["sweep", "--config", str(nan_bound), "--seed", "1",
+                                  "--out", str(tmp_path / "nan.csv")],
+        "model_heavy_tail_b_nan": [*simulate, "--model",
+                                   '{"model":"heavy_tail","params":{"b":NaN}}'],
+        "model_heavy_tail_b_inf": [*simulate, "--model",
+                                   '{"model":"heavy_tail","params":{"b":Infinity}}'],
+        "model_bernoulli_theta_nan": [*simulate, "--model",
+                                      '{"model":"bernoulli","params":{"theta":[[NaN,0.5],[0.5,0.5]]}}'],
     }
 
 
@@ -332,6 +359,9 @@ def _bad_input_args(tmp_path):
     "profile_malformed_in", "simulate_missing_profile", "bound_missing_profile",
     "oracle_missing_profile", "profile_other_dim_not_a_number", "profile_ragged_sigma",
     "cluster_sigmas_not_numbers", "sweep_unknown_bound_empty_family",
+    "cluster_reps_zero", "cluster_reps_negative", "cluster_p_zero", "cluster_p_negative",
+    "bound_eps1_nan", "bound_eps1_inf", "bound_B_nan", "bound_b_nan", "sweep_bound_param_nan",
+    "model_heavy_tail_b_nan", "model_heavy_tail_b_inf", "model_bernoulli_theta_nan",
 ])
 def test_bad_input_exits_3_with_error_line(tmp_path, capsys, case):
     assert main(_bad_input_args(tmp_path)[case]) == 3

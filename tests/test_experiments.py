@@ -26,6 +26,8 @@ from hetwishart import (
 from hetwishart import experiments, spectral
 from hetwishart.bounds import BOUNDS
 from hetwishart.experiments import (
+    PhaseRow,
+    SweepRow,
     concentration_norms,
     phase_rows_to_csv,
     sweep_rows_to_csv,
@@ -158,6 +160,26 @@ def test_replicates_run_on_one_blas_thread(threads, bundled_openblas):
         assert get_threads() == 2
     finally:
         set_threads(initial)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_replicates_rejects_no_replicates(threads):
+    with pytest.raises(ParameterError, match="n_reps"):
+        experiments._run_replicates(lambda rep: 0.0, 0, threads)
+
+
+def test_csv_text_of_sweep_and_phase_rows():
+    """Floats print as repr, integers as str, and csv quotes a comma."""
+    sweep = SweepRow("a,b", 8, 4, "gaussian", 6, 0.1 + 0.2, 1e-20, "gaussian", 3.0, 0.1)
+    assert sweep_rows_to_csv([sweep]) == (
+        "name,p1,p2,model,n_reps,mean,std_err,bound_id,bound,ratio\n"
+        '"a,b",8,4,gaussian,6,0.30000000000000004,1e-20,gaussian,3.0,0.1\n'
+    )
+    phase = PhaseRow(0.5, 1 / 3, 0.0, 4)
+    assert phase_rows_to_csv([phase], 2.0 ** 0.5) == (
+        "lambda,mean_misclassification,std_err,n_reps,snr_threshold\n"
+        "0.5,0.3333333333333333,0.0,4,1.4142135623730951\n"
+    )
 
 
 def rows_seed(master, index):

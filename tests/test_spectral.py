@@ -156,10 +156,13 @@ def _dense_route_outputs():
 
 
 def test_dense_route_without_bundled_openblas_gives_the_same_bytes(monkeypatch):
-    """Without the bundled library the dense solve is numpy's, with the same bits."""
-    expected = _dense_route_outputs()
-    monkeypatch.setattr(spectral, "_openblas", lambda: None)
-    assert _dense_route_outputs() == expected
+    """Without the bundled library the dense solve is numpy's, with the same bits.
+    The lookup also drives the thread pin, so the pin is held from before the
+    patch: both runs then form Z @ Z.T on the same number of BLAS threads."""
+    with spectral._one_blas_thread():
+        expected = _dense_route_outputs()
+        monkeypatch.setattr(spectral, "_openblas", lambda: None)
+        assert _dense_route_outputs() == expected
 
 
 @pytest.mark.parametrize("library", ["bundled", "absent"])
