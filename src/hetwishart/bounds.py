@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .profiles import ProfileSummary, VarianceProfile, _check_admissible, summarize
+from .profiles import ProfileSummary, VarianceProfile, _check_admissible, _finite, summarize
 
 __all__ = [
     "BoundReport",
@@ -52,15 +52,14 @@ class BoundReport:
 
 def c1_constant(eps1: float) -> float:
     """C1(eps1) = 10 (1 + eps1) sqrt(ceil(1 / log(1 + eps1)))."""
-    if eps1 <= 0:
-        raise ParameterError("eps1 must be positive")
+    eps1 = _finite(eps1, "eps1", 0.0, open_low=True)
     return 10.0 * (1.0 + eps1) * math.sqrt(math.ceil(1.0 / math.log1p(eps1)))
 
 
 def c2_constant(eps1: float, eps2: float) -> float:
     """C2(eps1, eps2) = (1 + eps1) ceil(1 / log(1 + eps1)) (25/eps2 + 24)."""
-    if eps1 <= 0 or eps2 <= 0:
-        raise ParameterError("eps1 and eps2 must be positive")
+    eps1 = _finite(eps1, "eps1", 0.0, open_low=True)
+    eps2 = _finite(eps2, "eps2", 0.0, open_low=True)
     return (1.0 + eps1) * math.ceil(1.0 / math.log1p(eps1)) * (25.0 / eps2 + 24.0)
 
 
@@ -134,32 +133,28 @@ def unified_bound(
     B: float | None = None,
     p_max: int | None = None,
     c0: float = 1.0,
-    c: float = 1.0,
 ) -> BoundReport:
     """Family-unified form C0 { (sigma_C + sigma_R + K)^2 - sigma_R^2 } with
 
-        sub-Gaussian  K = sigma_* sqrt(log(p1^p2))
+        sub-Gaussian  K = sigma_* sqrt(log(p1^p2))       (Gaussian too)
         heavy tail    K = sigma_* sqrt(log(p1^p2)) (log(p1 v p2))^(1/alpha - 1/2)
         bounded       K = B sqrt(log(p1^p2))            (Bernoulli: B = 1)
-        Gaussian      K = c sigma_* sqrt(log(p1^p2))
 
     The heavy-tail family needs the larger dimension p_max; alpha in (0, 2].
-    C0 and c are calibration knobs (default 1), so every report is rate-only.
+    C0 is a calibration knob (default 1), so every report is rate-only.
     """
     kind = _FAMILY_ALIASES.get(family)
     if kind is None:
         raise ParameterError(f"unknown family {family!r}; expected one of {sorted(_FAMILY_ALIASES)}")
-    if c0 <= 0:
-        raise ParameterError("c0 must be positive")
+    c0 = _finite(c0, "c0", 0.0, open_low=True)
     sqrt_log = math.sqrt(math.log(s.p_min))
     params: dict = {"family": family, "c0": c0}
-    if kind == "sub_gaussian":
+    if kind in ("sub_gaussian", "gaussian"):
         K = s.sigma_star * sqrt_log
     elif kind == "heavy_tail":
         if alpha is None or p_max is None:
             raise ParameterError("heavy-tail family needs alpha and p_max")
-        if not 0.0 < alpha <= 2.0:
-            raise ParameterError("alpha must lie in (0, 2]")
+        alpha = _finite(alpha, "alpha", 0.0, 2.0, open_low=True)
         if p_max < s.p_min:
             raise ParameterError("p_max must be >= p_min")
         K = s.sigma_star * sqrt_log * math.log(p_max) ** (1.0 / alpha - 0.5)
@@ -170,9 +165,6 @@ def unified_bound(
             raise ParameterError("bounded family needs B")
         K = bound * sqrt_log
         params.update(B=bound)
-    else:  # gaussian
-        K = c * s.sigma_star * sqrt_log
-        params.update(c=c)
     value = c0 * ((s.sigma_C + s.sigma_R + K) ** 2 - s.sigma_R**2)
     return BoundReport(
         "unified_" + kind, value, {"K": K, "inner": value / c0}, params=params, rate_only=True
@@ -202,12 +194,9 @@ def moment_and_tail(s: ProfileSummary, b: float, x: float, C: float) -> MomentTa
     subtracts sigma_R^2; transposing Z swaps the two roles, so both pin the
     same rate family.  Each is kept exactly as stated.
     """
-    if b <= 0:
-        raise ParameterError("b must be positive")
-    if x < 0:
-        raise ParameterError("x must be nonnegative")
-    if C <= 0:
-        raise ParameterError("C must be positive")
+    b = _finite(b, "b", 0.0, open_low=True)
+    x = _finite(x, "x", 0.0)
+    C = _finite(C, "C", 0.0, open_low=True)
     log_p = math.log(s.p_min)
     moment = (s.sigma_C + s.sigma_R + s.sigma_star * math.sqrt(max(b, log_p))) ** 2 - s.sigma_C**2
     threshold = C * (
@@ -227,9 +216,7 @@ def structured_rates(kind: str, sigmas, other_dim: int) -> BoundReport:
     """
     if kind not in ("rows", "columns"):
         raise ParameterError(f"kind must be 'rows' or 'columns', got {kind!r}")
-    vec = np.asarray(sigmas, dtype=float)
-    if vec.ndim != 1 or vec.size < 1 or np.any(vec < 0) or not np.all(np.isfinite(vec)):
-        raise ParameterError("sigmas must be a nonempty nonnegative 1-d vector")
+    vec = _finite(sigmas, "sigmas", 0.0, ndim=1)
     if other_dim < 1:
         raise ParameterError("other_dim must be >= 1")
     if kind == "rows":
@@ -273,15 +260,7 @@ def lower_bound_rate(s: ProfileSummary, p1: int, p2: int) -> BoundReport:
 
 def _param(params: dict, name: str, default: float | None = None) -> float | None:
     value = params.get(name, default)
-    if value is None:
-        return None
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"bound parameter {name!r} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ParameterError(f"bound parameter {name!r} must be finite, got {value!r}")
-    return number
+    return None if value is None else _finite(value, f"bound parameter {name!r}")
 
 
 def _structured(kind: str):
@@ -357,8 +336,8 @@ def clustering_rates(
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if mu_norm < 0 or sigma_star < 0 or sigma_tilde < 0:
-        raise ParameterError("norms must be nonnegative")
+    mu_norm, sigma_star, sigma_tilde = (_finite(v, "norms", 0.0)
+                                        for v in (mu_norm, sigma_star, sigma_tilde))
     threshold = max(sigma_star, sigma_tilde / n**0.25)
     if mu_norm == 0.0:
         raise ParameterError("upper rate undefined for mu = 0")

@@ -4,7 +4,9 @@ Subcommands: profile, bound, simulate, oracle, sweep, cluster.  Machine
 readable output is written atomically (temp file + rename); a short human
 summary goes to stdout.  All randomness flows from an explicit seed; there is
 no wall-clock fallback.  Exit codes: 0 success, 2 usage, 3 validation,
-4 size guard, 5 numerical failure.
+4 size guard, 5 numerical failure.  One rule holds at each end: every number
+that comes in, from a flag or a JSON file, is finite and in range, or the run
+exits 3; every number that goes out is finite, or the run exits 5.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -42,8 +45,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(path: str | None, payload: dict) -> None:
-    """Print the JSON payload, and write it to path if one is given."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Print the JSON payload, and write it to path if one is given.  A NaN
+    or infinite number in it is a NumericalError, and nothing is written."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericalError("result is not a finite number") from None
     if path:
         _atomic_write(path, text + "\n")
     print(text)
@@ -52,10 +59,7 @@ def _emit(path: str | None, payload: dict) -> None:
 def _load_model(spec: str) -> samplers.NoiseModel:
     if not spec.strip().startswith("{"):
         return samplers.model_from_json_dict(profiles._read_json(spec, "noise model"))
-    try:
-        return samplers.model_from_json_dict(json.loads(spec))
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"invalid inline noise model JSON: {exc}") from None
+    return samplers.model_from_json_dict(profiles._parse_json(spec, "inline noise model JSON"))
 
 
 def _load_config(args) -> dict:
@@ -76,7 +80,7 @@ def _setting(args, cfg: dict, name: str, default=None, convert=int):
     if name in cfg:
         try:
             return convert(cfg[name])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"config field {name!r}: {exc}") from None
     if default is None:
         raise ParameterError(f"--{name} (or a config with {name!r}) is required")
@@ -89,9 +93,9 @@ def _setting(args, cfg: dict, name: str, default=None, convert=int):
 def cmd_profile(args) -> int:
     prof = profiles.load_profile(args.infile)
     s = profiles.summarize(prof)
+    _emit(None, {"p1": prof.p1, "p2": prof.p2, **dataclasses.asdict(s)})
     if args.out:
         _atomic_write(args.out, profiles.profile_to_json(prof) + "\n")
-    _emit(None, {"p1": prof.p1, "p2": prof.p2, **dataclasses.asdict(s)})
     return 0
 
 
@@ -205,7 +209,8 @@ def _random_uniform_profiles(family: dict, family_seed: int) -> _NamedProfiles:
     count = int(family["count"])
     p1_lo, p1_hi = int(family.get("p1_min", 2)), int(family["p1_max"])
     p2_lo, p2_hi = int(family.get("p2_min", 2)), int(family["p2_max"])
-    lo, hi = float(family.get("sigma_min", 0.0)), float(family.get("sigma_max", 1.0))
+    lo, hi = (profiles._finite(family.get(key, default), key, 0.0)
+              for key, default in (("sigma_min", 0.0), ("sigma_max", 1.0)))
     out = []
     for k in range(count):
         rng = samplers.generator(samplers.SampleSeed(family_seed, k))
@@ -225,7 +230,8 @@ def _homoskedastic_grid(rows: bool):
         make = profiles.homoskedastic_rows if rows else profiles.homoskedastic_columns
         grid = [int(v) for v in family[grid_key]]
         other = int(family[other_key])
-        lo, hi = float(family.get("sigma_min", 0.5)), float(family.get("sigma_max", 1.5))
+        lo, hi = (profiles._finite(family.get(key, default), key, 0.0)
+                  for key, default in (("sigma_min", 0.5), ("sigma_max", 1.5)))
         out = []
         for k, dim in enumerate(grid):
             rng = samplers.generator(samplers.SampleSeed(family_seed, k))
@@ -268,7 +274,7 @@ def cmd_sweep(args) -> int:
         raise ParameterError(f"sweep config missing field {exc}") from None
     except ParameterError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"sweep config field of the wrong type or value: {exc}") from None
     model = samplers.model_from_json_dict(cfg.get("model", {"model": "gaussian", "params": {}}))
     rows = experiments.rate_sweep(
@@ -279,14 +285,16 @@ def cmd_sweep(args) -> int:
     resolved = dict(cfg)
     resolved["seed"] = seed
     resolved["threads"] = threads
+    # a row whose bound is 0 has ratio NaN, which max and min would order by position
+    ratios = [r.ratio for r in rows if math.isfinite(r.ratio)]
     summary = {
         "command": "sweep",
         "config": resolved,
         "rows": len(rows),
         "csv_path": args.out,
         "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
-        "max_ratio": max((r.ratio for r in rows), default=float("nan")),
-        "min_ratio": min((r.ratio for r in rows), default=float("nan")),
+        "max_ratio": max(ratios, default=None),
+        "min_ratio": min(ratios, default=None),
     }
     _emit(args.summary, summary)
     return 0
@@ -307,13 +315,8 @@ def cmd_cluster(args) -> int:
         raise ParameterError("p must be >= 1")
     if args.sigma_const is not None:
         sigmas = np.full(p, args.sigma_const)
-    elif "sigmas" in cfg:
-        try:
-            sigmas = np.asarray(cfg["sigmas"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"config field 'sigmas': {exc}") from None
     else:
-        sigmas = np.ones(p)
+        sigmas = cfg.get("sigmas", np.ones(p))
     rows, threshold = experiments.phase_diagram(n, p, sigmas, lambda_grid, reps, seed, threads=threads)
     csv_text = experiments.phase_rows_to_csv(rows, threshold)
     if args.out:
@@ -418,7 +421,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return 4
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 5
 

@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import bounds as bounds_mod
-from .errors import ParameterError
-from .profiles import VarianceProfile, summarize
+from .errors import NumericalError, ParameterError
+from .profiles import VarianceProfile, _finite, summarize
 from .samplers import NoiseModel, SampleSeed, derive_seed, generator, sample
 from .spectral import _CenteredOperator, _extreme_eigenpair, _one_blas_thread, spectral_norm
 
@@ -253,15 +253,15 @@ class ClusteringInstance:
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
         labels = np.asarray(self.labels)
-        sigmas = np.asarray(self.sigmas, dtype=float)
+        sigmas = _finite(self.sigmas, "sigmas", 0.0, ndim=1)
         if self.n < 1 or self.p < 1:
             raise ParameterError("n and p must be >= 1")
         if mu.shape != (self.p,):
             raise ParameterError(f"mu must have length p = {self.p}")
         if labels.shape != (self.n,) or not np.all(np.isin(labels, (-1, 1))):
             raise ParameterError("labels must be a length-n vector with entries in {-1, +1}")
-        if sigmas.shape != (self.p,) or np.any(sigmas < 0):
-            raise ParameterError("sigmas must be a length-p nonnegative vector")
+        if sigmas.shape != (self.p,):
+            raise ParameterError(f"sigmas must have length p = {self.p}")
         for name, arr in (("mu", mu), ("labels", labels.astype(int)), ("sigmas", sigmas)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -340,16 +340,17 @@ def phase_diagram(
     uniformly at random for each replicate.  Returns the rows and the
     threshold sigma_* v sigma_tilde / n^(1/4).
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.shape != (p,) or np.any(sigmas < 0):
-        raise ParameterError("sigmas must be a length-p nonnegative vector")
-    if any(lam < 0 for lam in lambda_grid):
-        raise ParameterError("lambda grid entries must be nonnegative")
+    sigmas = _finite(sigmas, "sigmas", 0.0, ndim=1)
+    if sigmas.shape != (p,):
+        raise ParameterError(f"sigmas must have length p = {p}")
+    lambda_grid = [_finite(lam, "lambda", 0.0) for lam in lambda_grid]
     direction = np.zeros(p)
     direction[0] = 1.0
 
     sigma_star = float(sigmas.max())
     sigma_tilde = float(np.sum(sigmas**4) ** 0.25)
+    if math.isinf(sigma_tilde):
+        raise NumericalError("sigma_tilde = (sum_i sigma_i^4)^(1/4) overflows")
     threshold = bounds_mod.clustering_rates(1.0, n, sigma_star, sigma_tilde).snr_threshold
 
     rows = []

@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParameterError, SizeGuardError
-from .profiles import _REL_SLACK, VarianceProfile, _ceil_tol
+from .profiles import _REL_SLACK, VarianceProfile, _ceil_tol, _finite
 
 __all__ = [
     "MAX_GAUSSIAN_ORDER",
@@ -111,8 +111,7 @@ def heavy_tail_moment(alpha: int, beta: int, b: float) -> float:
     """
     if alpha < 0 or beta < 0:
         raise ParameterError("alpha and beta must be nonnegative integers")
-    if b < 1.0:
-        raise ParameterError("b must be >= 1")
+    b = _finite(b, "b", 1.0)
     order = alpha + 2 * beta
     if order > MAX_HEAVY_TAIL_ORDER:
         raise SizeGuardError(
@@ -397,8 +396,7 @@ def subgaussian_moment_envelope(alpha: int, beta: int, kappa: float) -> float:
     standardized entry; any unit-variance variable has kappa >= 1/sqrt(2).
     C is ENVELOPE_CONSTANT, a calibration, not a proved optimum.
     """
-    if kappa < 1.0 / math.sqrt(2.0) - 1e-12:
-        raise ParameterError("kappa must be >= 1/sqrt(2) for a unit-variance variable")
+    kappa = _finite(kappa, "kappa", 1.0 / math.sqrt(2.0) - 1e-12)
     if alpha % 2 == 1:
         return 0.0
     return (ENVELOPE_CONSTANT * kappa) ** (alpha + 2 * beta) * gaussian_moment(alpha, beta)

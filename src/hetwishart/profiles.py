@@ -48,6 +48,28 @@ def _ceil_tol(x: float) -> int:
     return int(math.ceil(x * (1.0 - _REL_SLACK) - _REL_SLACK))
 
 
+def _finite(value, what: str, low: float = -math.inf, high: float = math.inf, *,
+            open_low: bool = False, ndim: int = 0):
+    """The one check for numbers coming in: ``value`` as a float, or as a
+    nonempty float array of ``ndim`` > 0 dimensions, whose every entry is
+    finite and in [low, high] ((low, high] with ``open_low``).  Anything else
+    raises ParameterError naming ``what``.  A NaN entry makes the least and
+    the greatest entry NaN, and NaN compares false, so it never passes."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{what} must be numeric: {exc}") from None
+    if arr.ndim != ndim or arr.size == 0:
+        shape = "a number" if ndim == 0 else f"a nonempty {ndim}-d array"
+        raise ParameterError(f"{what} must be {shape}, got shape {arr.shape}")
+    least, most = float(arr.min()), float(arr.max())
+    above = least > low if open_low else least >= low
+    if not (above and most <= high and math.isfinite(least) and math.isfinite(most)):
+        got = f", got {value!r}" if ndim == 0 else ""
+        raise ParameterError(f"{what} must be finite and in {'(' if open_low else '['}{low:g}, {high:g}]{got}")
+    return least if ndim == 0 else arr
+
+
 @dataclass(frozen=True)
 class VarianceProfile:
     """Immutable p1-by-p2 grid of entrywise standard deviations."""
@@ -55,14 +77,7 @@ class VarianceProfile:
     sigma: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.sigma, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ParameterError(f"sigma must be a 2-d grid, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("sigma entries must be finite")
-        if np.any(arr < 0):
-            raise ParameterError("sigma entries must be nonnegative")
-        arr = arr.copy()
+        arr = _finite(self.sigma, "sigma", 0.0, ndim=2).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "sigma", arr)
 
@@ -112,18 +127,9 @@ def summarize(profile: VarianceProfile) -> ProfileSummary:
     return ProfileSummary(sigma_c, sigma_r, sigma_star, min(profile.p1, profile.p2))
 
 
-def _as_sigma_vector(sigmas) -> np.ndarray:
-    vec = np.asarray(sigmas, dtype=float)
-    if vec.ndim != 1 or vec.size < 1:
-        raise ParameterError("sigmas must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(vec)) or np.any(vec < 0):
-        raise ParameterError("sigmas must be finite and nonnegative")
-    return vec
-
-
 def homoskedastic_rows(sigmas, p2: int) -> VarianceProfile:
     """Profile with sigma_ij = sigmas[i] for every column j."""
-    vec = _as_sigma_vector(sigmas)
+    vec = _finite(sigmas, "sigmas", 0.0, ndim=1)
     if p2 < 1:
         raise ParameterError("p2 must be >= 1")
     return VarianceProfile(np.tile(vec[:, None], (1, p2)))
@@ -131,7 +137,7 @@ def homoskedastic_rows(sigmas, p2: int) -> VarianceProfile:
 
 def homoskedastic_columns(sigmas, p1: int) -> VarianceProfile:
     """Profile with sigma_ij = sigmas[j] for every row i."""
-    vec = _as_sigma_vector(sigmas)
+    vec = _finite(sigmas, "sigmas", 0.0, ndim=1)
     if p1 < 1:
         raise ParameterError("p1 must be >= 1")
     return VarianceProfile(np.tile(vec[None, :], (p1, 1)))
@@ -187,8 +193,8 @@ def lower_bound_profile(
     """
     if kind not in LOWER_BOUND_KINDS:
         raise ParameterError(f"unknown lower-bound kind {kind!r}; expected one of {LOWER_BOUND_KINDS}")
-    if min(sigma_star, sigma_C, sigma_R) < 0:
-        raise ParameterError("sigma_star, sigma_C, sigma_R must be nonnegative")
+    sigma_star, sigma_C, sigma_R = (_finite(v, "sigma_star, sigma_C, sigma_R", 0.0)
+                                    for v in (sigma_star, sigma_C, sigma_R))
     _check_admissible(sigma_star, sigma_C, sigma_R, p1, p2)
 
     grid = np.zeros((p1, p2))
@@ -222,9 +228,9 @@ def _lower_bound_from_json(payload: dict) -> VarianceProfile:
     params = payload["params"]
     return lower_bound_profile(
         payload["variant"],
-        sigma_star=float(params["sigma_star"]),
-        sigma_C=float(params["sigma_C"]),
-        sigma_R=float(params["sigma_R"]),
+        sigma_star=params["sigma_star"],
+        sigma_C=params["sigma_C"],
+        sigma_R=params["sigma_R"],
         p1=int(params["p1"]),
         p2=int(params["p2"]),
     )
@@ -249,11 +255,7 @@ def profile_from_json(text: str) -> VarianceProfile:
     Accepted values of "kind": explicit, homoskedastic_rows,
     homoskedastic_columns, lower_bound.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"invalid profile JSON: {exc}") from exc
-    return _profile_from_payload(payload)
+    return _profile_from_payload(_parse_json(text, "profile JSON"))
 
 
 def _profile_from_payload(payload) -> VarianceProfile:
@@ -269,20 +271,34 @@ def _profile_from_payload(payload) -> VarianceProfile:
         raise ParameterError(f"profile JSON missing field {exc}") from exc
     except ParameterError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"profile JSON field of the wrong type or shape: {exc}") from None
 
 
+def _reject_constant(name: str):
+    raise ParameterError(f"{name} is not a finite number")
+
+
+def _parse_json(text: str, what: str):
+    """``text`` parsed as standard JSON, which has no NaN or Infinity: either
+    of those, or malformed text, is a ParameterError naming ``what``."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, or the ParameterError above
+        raise ParameterError(f"invalid {what}: {exc}") from None
+
+
 def _read_json(path, what: str):
-    """The parsed JSON file at path; an unreadable or malformed file is a
-    ParameterError naming it and the ``what`` it should hold."""
+    """The JSON file at path, parsed by ``_parse_json``; an unreadable or
+    malformed file is a ParameterError naming it and the ``what`` it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ParameterError(f"cannot read {what} file {path!r}: {exc.strerror}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except UnicodeDecodeError as exc:
         raise ParameterError(f"invalid {what} file {path!r}: {exc}") from None
+    return _parse_json(text, f"{what} file {path!r}")
 
 
 def load_profile(path) -> VarianceProfile:

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ParameterError
-from .profiles import VarianceProfile
+from .profiles import VarianceProfile, _finite
 
 __all__ = [
     "SampleSeed",
@@ -82,11 +82,10 @@ def heavy_tail_scale(b: float) -> float:
 @dataclass(frozen=True)
 class NoiseModel:
     """An entry family.  Each subclass draws its entries, reports their
-    variances and kappa, checks the profile it is paired with, and converts
-    its dataclass fields (its JSON params) with ``_convert``."""
+    variances and kappa, checks the profile it is paired with, and checks
+    its dataclass fields (its JSON params) with ``profiles._finite``."""
 
     kind: ClassVar[str]
-    _convert: ClassVar[Callable] = float
 
     def draw(self, rng: np.random.Generator, sigma: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -113,14 +112,12 @@ class NoiseModel:
 
     @classmethod
     def from_params(cls, params: dict) -> NoiseModel:
-        values = {}
-        for f in fields(cls):
-            try:
-                values[f.name] = cls._convert(params[f.name])
-            except KeyError:
-                raise ParameterError(f"noise model JSON missing parameter {f.name!r}") from None
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"noise model parameter {f.name!r}: {exc}") from None
+        try:
+            values = {f.name: params[f.name] for f in fields(cls)}
+        except KeyError as exc:
+            raise ParameterError(f"noise model JSON missing parameter {exc}") from None
+        except TypeError as exc:
+            raise ParameterError(f"noise model params must be a JSON object: {exc}") from None
         return cls(**values)
 
 
@@ -156,8 +153,7 @@ class Bounded(NoiseModel):
     kind = "bounded"
 
     def __post_init__(self):
-        if not self.B > 0:
-            raise ParameterError("B must be positive")
+        object.__setattr__(self, "B", _finite(self.B, "B", 0.0, open_low=True))
 
     def check(self, profile):
         sigma_star = float(profile.sigma.max())
@@ -182,15 +178,9 @@ class Bernoulli(NoiseModel):
 
     theta: np.ndarray = field(repr=False)
     kind = "bernoulli"
-    _convert = staticmethod(lambda value: np.asarray(value, dtype=float))
 
     def __post_init__(self):
-        arr = np.asarray(self.theta, dtype=float)
-        if arr.ndim != 2:
-            raise ParameterError("theta must be a 2-d grid")
-        if not np.all((arr >= 0) & (arr <= 1)):
-            raise ParameterError("theta entries must lie in [0, 1]")
-        arr = arr.copy()
+        arr = _finite(self.theta, "theta", 0.0, 1.0, ndim=2).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "theta", arr)
 
@@ -233,8 +223,7 @@ class HeavyTail(NoiseModel):
     kind = "heavy_tail"
 
     def __post_init__(self):
-        if not 1.0 <= self.b < math.inf:
-            raise ParameterError("b must be finite and >= 1")
+        object.__setattr__(self, "b", _finite(self.b, "b", 1.0))
 
     def draw(self, rng, sigma):
         """sigma * (G |H|^(b-1) / heavy_tail_scale(b)), written in place into

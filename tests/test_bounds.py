@@ -105,6 +105,9 @@ def test_unified_bound_families():
     assert bounded.terms["K"] == pytest.approx(2.0 * math.sqrt(math.log(16)), rel=1e-12)
     bern = unified_bound(s2, "bernoulli")
     assert bern.params["B"] == 1.0
+    gauss = unified_bound(s2, "gaussian")
+    assert (gauss.value, gauss.terms) == (sub.value, sub.terms)
+    assert gauss.params == {"family": "gaussian", "c0": 1.0}
 
     with pytest.raises(ParameterError):
         unified_bound(s2, "heavy_tail")  # missing alpha / p_max

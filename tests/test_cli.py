@@ -300,8 +300,22 @@ def _bad_input_args(tmp_path):
                                                              "sigma": [[0.5, 0.5]]}}]},
         "bound": {"id": "gaussian", "eps1": float("nan")}, "reps": 2,
     }))
+    nan_sigmas = tmp_path / "nan_sigmas.json"
+    nan_sigmas.write_text('{"n": 20, "p": 3, "reps": 2, "lambdas": [1.0], "seed": 1, '
+                          '"sigmas": [1, NaN, 1]}')
+    small_family = '"family": {"kind": "random_uniform", "count": 1, "p1_max": 2, "p2_max": 2'
+    for constant in ("NaN", "Infinity"):
+        (tmp_path / f"sigma_max_{constant}.json").write_text(
+            f'{{{small_family}, "sigma_max": {constant}}}, "reps": 2}}')
+    seed_inf = tmp_path / "seed_inf.json"
+    seed_inf.write_text(f'{{{small_family}}}, "reps": 2, "seed": Infinity}}')
+    lower_nan = tmp_path / "lower_nan.json"
+    lower_nan.write_text('{"kind": "lower_bound", "variant": "block", "params": {"sigma_star": NaN, '
+                         '"sigma_C": 1, "sigma_R": 1, "p1": 2, "p2": 2}}')
     simulate = ["simulate", "--profile", profile, "--reps", "2", "--seed", "1"]
     cluster = ["cluster", "--n", "30", "--lambdas", "1.0", "--seed", "1"]
+    cluster_grid = ["cluster", "--n", "30", "--p", "4", "--reps", "2", "--sigma-const", "1",
+                    "--seed", "1", "--lambdas"]
     bound = ["bound", "--profile", profile]
     return {
         **{name: ["sweep", "--config", str(tmp_path / f"{name}.json"), "--seed", "1",
@@ -346,6 +360,17 @@ def _bad_input_args(tmp_path):
                                    '{"model":"heavy_tail","params":{"b":Infinity}}'],
         "model_bernoulli_theta_nan": [*simulate, "--model",
                                       '{"model":"bernoulli","params":{"theta":[[NaN,0.5],[0.5,0.5]]}}'],
+        "cluster_sigma_const_nan": [*cluster, "--p", "4", "--reps", "2", "--sigma-const", "nan"],
+        "cluster_lambdas_nan": [*cluster_grid, "nan"],
+        "cluster_lambdas_inf": [*cluster_grid, "inf"],
+        "cluster_config_sigmas_nan": ["cluster", "--config", str(nan_sigmas)],
+        "model_bounded_B_inf": [*simulate, "--model", '{"model":"bounded","params":{"B":Infinity}}'],
+        "model_bounded_B_inf_text": [*simulate, "--model", '{"model":"bounded","params":{"B":"inf"}}'],
+        **{f"sweep_sigma_max_{constant}": [
+            "sweep", "--config", str(tmp_path / f"sigma_max_{constant}.json"), "--seed", "1",
+            "--out", str(tmp_path / f"{constant}.csv")] for constant in ("NaN", "Infinity")},
+        "sweep_seed_inf": ["sweep", "--config", str(seed_inf), "--out", str(tmp_path / "s.csv")],
+        "profile_lower_bound_sigma_star_nan": ["profile", "--in", str(lower_nan)],
     }
 
 
@@ -362,11 +387,142 @@ def _bad_input_args(tmp_path):
     "cluster_reps_zero", "cluster_reps_negative", "cluster_p_zero", "cluster_p_negative",
     "bound_eps1_nan", "bound_eps1_inf", "bound_B_nan", "bound_b_nan", "sweep_bound_param_nan",
     "model_heavy_tail_b_nan", "model_heavy_tail_b_inf", "model_bernoulli_theta_nan",
+    "cluster_sigma_const_nan", "cluster_lambdas_nan", "cluster_lambdas_inf",
+    "cluster_config_sigmas_nan", "model_bounded_B_inf", "model_bounded_B_inf_text",
+    "sweep_sigma_max_NaN", "sweep_sigma_max_Infinity", "sweep_seed_inf",
+    "profile_lower_bound_sigma_star_nan",
 ])
 def test_bad_input_exits_3_with_error_line(tmp_path, capsys, case):
     assert main(_bad_input_args(tmp_path)[case]) == 3
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} in output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _float_field_argv(tmp_path, field, value):
+    """argv of a run on a 2x2 profile that puts ``value`` (the text of a flag,
+    or in JSON the number it reads as, or the string "x") into ``field``.
+    Every case writes its own files, so building them all leaves each intact."""
+    number = value if value == "x" else float(value)
+
+    def put(name, payload):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))  # NaN and Infinity as Python writes them
+        return str(path)
+
+    profile = put("profile", {"kind": "explicit", "sigma": [[0.5, 0.5], [0.5, 0.5]]})
+    odd_profile = put("odd", {"kind": "explicit", "sigma": [[number, 0.5], [0.5, 0.5]]})
+    lower = {"sigma_star": 1.0, "sigma_C": 1.0, "sigma_R": 1.0, "p1": 2, "p2": 2}
+    simulate = ["simulate", "--profile", profile, "--reps", "2", "--seed", "1"]
+    cluster = ["cluster", "--n", "20", "--p", "2", "--reps", "2", "--seed", "1"]
+    cluster_cfg = {"n": 20, "p": 2, "reps": 2, "seed": 1, "lambdas": [1.0], "sigmas": [1.0, 1.0]}
+    uniform = {"kind": "random_uniform", "count": 1, "p1_max": 2, "p2_max": 2}
+    grid = {"kind": "homoskedastic_rows_grid", "p1_grid": [2], "p2": 2}
+
+    def sweep(name, family=uniform, bound=None):
+        cfg = put(name, {"family": family, "reps": 2, "bound": bound or {"id": "gaussian"}})
+        return ["sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "sweep.csv")]
+
+    def model(name, params):
+        return [*simulate, "--model", json.dumps({"model": name, "params": params})]
+
+    if field in FLAG_FIELDS:
+        bound_id, flag = FLAG_FIELDS[field]
+        return ["bound", "--profile", profile, "--id", bound_id, f"--{flag}={value}"]
+    return {
+        "cluster_sigma_const": [*cluster, "--lambdas", "1.0", f"--sigma-const={value}"],
+        "cluster_lambdas": [*cluster, f"--lambdas={value}"],
+        "cluster_config_sigmas": ["cluster", "--config",
+                                  put("sigmas", {**cluster_cfg, "sigmas": [number, 1.0]})],
+        "cluster_config_lambdas": ["cluster", "--config",
+                                   put("lambdas", {**cluster_cfg, "lambdas": [number]})],
+        "profile_sigma": ["profile", "--in", odd_profile],
+        "profile_rows_sigmas": ["profile", "--in", put("rows", {
+            "kind": "homoskedastic_rows", "sigmas": [number, 0.5], "other_dim": 2})],
+        **{f"profile_lower_{key}": ["profile", "--in", put(key, {
+            "kind": "lower_bound", "variant": "block", "params": {**lower, key: number}})]
+           for key in ("sigma_star", "sigma_C", "sigma_R")},
+        "bound_profile_sigma": ["bound", "--profile", odd_profile, "--id", "gaussian"],
+        "simulate_profile_sigma": ["simulate", "--profile", odd_profile, "--reps", "2",
+                                   "--seed", "1"],
+        "oracle_profile_sigma": ["oracle", "--check", "trace", "--profile", odd_profile],
+        "simulate_bounded_B": model("bounded", {"B": number}),
+        "simulate_heavy_tail_b": model("heavy_tail", {"b": number}),
+        "simulate_bernoulli_theta": model("bernoulli", {"theta": [[number, 0.5], [0.5, 0.5]]}),
+        "sweep_bound_eps1": sweep("eps1", bound={"id": "gaussian", "eps1": number}),
+        **{f"sweep_{name}_{key}": sweep(f"{name}_{key}", {**family, key: number})
+           for name, family in (("uniform", uniform), ("grid", grid))
+           for key in ("sigma_min", "sigma_max")},
+    }[field]
+
+
+# bound flag field -> (bound id that reads it, flag)
+FLAG_FIELDS = {
+    "bound_eps1": ("gaussian", "eps1"), "bound_eps2": ("gaussian", "eps2"),
+    "bound_b": ("moment_tail", "b"), "bound_x": ("moment_tail", "x"),
+    "bound_C": ("moment_tail", "C"), "bound_alpha": ("unified_heavy_tail", "alpha"),
+    "bound_B": ("unified_bounded", "B"), "bound_c0": ("unified_gaussian", "c0"),
+}
+FLOAT_FIELDS = (
+    *FLAG_FIELDS, "cluster_sigma_const", "cluster_lambdas", "cluster_config_sigmas",
+    "cluster_config_lambdas", "profile_sigma", "profile_rows_sigmas", "profile_lower_sigma_star",
+    "profile_lower_sigma_C", "profile_lower_sigma_R", "bound_profile_sigma",
+    "simulate_profile_sigma", "oracle_profile_sigma", "simulate_bounded_B",
+    "simulate_heavy_tail_b", "simulate_bernoulli_theta", "sweep_bound_eps1",
+    "sweep_uniform_sigma_min", "sweep_uniform_sigma_max", "sweep_grid_sigma_min",
+    "sweep_grid_sigma_max",
+)
+FLAG_TEXT_FIELDS = (*FLAG_FIELDS, "cluster_sigma_const", "cluster_lambdas")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-320", "x"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_every_float_field_keeps_the_finite_rule(tmp_path, capsys, field, value):
+    """A number that comes in is finite and in range, or the run exits 3; a
+    number that goes out is finite, or the run exits 5.  No input raises."""
+    try:
+        code = main(_float_field_argv(tmp_path, field, value))
+    except SystemExit as exc:  # argparse rejects the text of a flag
+        code = exc.code
+    out = capsys.readouterr().out
+    if value == "x" and field in FLAG_TEXT_FIELDS:
+        assert code == 2
+    elif value in ("nan", "inf", "-inf", "x"):
+        assert code == 3
+    else:
+        assert code in (0, 3, 4, 5)
+    if code == 0:
+        _strict_json(out)
+
+
+def test_sweep_summary_ratios_skip_zero_bounds_in_any_order(tmp_path, capsys):
+    """A row whose bound is 0 has ratio nan in the CSV; the summary's
+    max_ratio and min_ratio are taken over the finite ratios, whatever the
+    row order, and are null when there are none."""
+    half, zero = [[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]
+    for name, sigmas, finite_row in (("first", [half, zero], 0), ("last", [zero, half], 1)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"family": {"kind": "list", "profiles": [
+            {"profile": {"kind": "explicit", "sigma": sigma}} for sigma in sigmas]}, "reps": 2}))
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+        summary = _strict_json(capsys.readouterr().out)
+        ratios = [line.split(",")[-1] for line in out.read_text().strip().splitlines()[1:]]
+        assert ratios[1 - finite_row] == "nan"
+        assert summary["max_ratio"] == summary["min_ratio"] == float(ratios[finite_row])
+
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"family": {"kind": "list", "profiles": []}, "reps": 2}))
+    assert main(["sweep", "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "empty.csv")]) == 0
+    summary = _strict_json(capsys.readouterr().out)
+    assert summary["max_ratio"] is None and summary["min_ratio"] is None
 
 
 @pytest.mark.parametrize("kind, grid_key, other_key, label", [

@@ -16,6 +16,7 @@ from hetwishart import (
     profile_to_json,
     summarize,
 )
+from hetwishart.profiles import _finite
 
 
 def test_summarize_all_ones_4x9():
@@ -213,3 +214,23 @@ def test_json_generator_forms():
         profile_from_json('{"kind": "nope"}')
     with pytest.raises(ParameterError):
         profile_from_json("not json")
+    with pytest.raises(ParameterError, match="NaN is not a finite number"):
+        profile_from_json('{"kind": "explicit", "sigma": [[NaN]]}')
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, "x", None, 10**400, [0.5]])
+def test_finite_rejects_what_is_not_one_finite_number_in_range(value):
+    with pytest.raises(ParameterError):
+        _finite(value, "v", 0.0)
+
+
+def test_finite_converts_and_checks_the_range_and_shape():
+    assert _finite("0.5", "v", 0.0, 1.0) == 0.5
+    assert type(_finite(np.float64(2.0), "v")) is float
+    assert _finite(0.0, "v", 0.0) == 0.0
+    with pytest.raises(ParameterError, match=r"\(0, 2\]"):
+        _finite(0.0, "v", 0.0, 2.0, open_low=True)
+    assert np.array_equal(_finite([[1, 2]], "v", ndim=2), np.array([[1.0, 2.0]]))
+    for bad in ([], [[0.5]], [0.5, math.nan]):
+        with pytest.raises(ParameterError):
+            _finite(bad, "v", 0.0, ndim=1)
