@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .profiles import ProfileSummary, VarianceProfile, _check_admissible, _finite, summarize
+from .profiles import (ProfileSummary, VarianceProfile, _check_admissible, _finite, _integer,
+                       _Table, summarize)
 
 __all__ = [
     "BoundReport",
@@ -94,8 +95,7 @@ def baseline_bounds(s: ProfileSummary, p2: int) -> tuple[BoundReport, BoundRepor
     Symmetrization:  (sigma_C + sigma_R + sigma_* sqrt(log(p1^p2)))^2
     Matrix-sum:      sigma_C sigma_R sqrt(log p2) + sigma_C^2 (log p2)^2
     """
-    if p2 < 1:
-        raise ParameterError("p2 must be >= 1")
+    p2 = _integer(p2, "p2", 1)
     root = s.sigma_C + s.sigma_R + s.sigma_star * math.sqrt(math.log(s.p_min))
     symmetrization = BoundReport(
         "symmetrization",
@@ -115,14 +115,14 @@ def baseline_bounds(s: ProfileSummary, p2: int) -> tuple[BoundReport, BoundRepor
     return symmetrization, matrix_sum
 
 
-_FAMILY_ALIASES = {
+_FAMILY_ALIASES = _Table("family", {
     "gaussian": "gaussian",
     "sub_gaussian": "sub_gaussian",
     "rademacher": "sub_gaussian",
     "heavy_tail": "heavy_tail",
     "bounded": "bounded",
     "bernoulli": "bounded",
-}
+})
 
 
 def unified_bound(
@@ -143,9 +143,7 @@ def unified_bound(
     The heavy-tail family needs the larger dimension p_max; alpha in (0, 2].
     C0 is a calibration knob (default 1), so every report is rate-only.
     """
-    kind = _FAMILY_ALIASES.get(family)
-    if kind is None:
-        raise ParameterError(f"unknown family {family!r}; expected one of {sorted(_FAMILY_ALIASES)}")
+    kind = _FAMILY_ALIASES[family]
     c0 = _finite(c0, "c0", 0.0, open_low=True)
     sqrt_log = math.sqrt(math.log(s.p_min))
     params: dict = {"family": family, "c0": c0}
@@ -167,7 +165,7 @@ def unified_bound(
         params.update(B=bound)
     value = c0 * ((s.sigma_C + s.sigma_R + K) ** 2 - s.sigma_R**2)
     return BoundReport(
-        "unified_" + kind, value, {"K": K, "inner": value / c0}, params=params, rate_only=True
+        "unified_" + family, value, {"K": K, "inner": value / c0}, params=params, rate_only=True
     )
 
 
@@ -217,8 +215,7 @@ def structured_rates(kind: str, sigmas, other_dim: int) -> BoundReport:
     if kind not in ("rows", "columns"):
         raise ParameterError(f"kind must be 'rows' or 'columns', got {kind!r}")
     vec = _finite(sigmas, "sigmas", 0.0, ndim=1)
-    if other_dim < 1:
-        raise ParameterError("other_dim must be >= 1")
+    other_dim = _integer(other_dim, "other_dim", 1)
     if kind == "rows":
         total = float(np.sum(vec**2))
         terms = {
@@ -245,7 +242,7 @@ def lower_bound_rate(s: ProfileSummary, p1: int, p2: int) -> BoundReport:
     valid for admissible tuples
     min(sigma_C, sigma_R) >= sigma_* >= max(sigma_C/sqrt(p1), sigma_R/sqrt(p2)).
     """
-    _check_admissible(s.sigma_star, s.sigma_C, s.sigma_R, p1, p2)
+    p1, p2 = _check_admissible(s.sigma_star, s.sigma_C, s.sigma_R, p1, p2)
     log_p = math.log(min(p1, p2))
     terms = {
         "column": s.sigma_C**2,
@@ -259,7 +256,8 @@ def lower_bound_rate(s: ProfileSummary, p1: int, p2: int) -> BoundReport:
 
 
 def _param(params: dict, name: str, default: float | None = None) -> float | None:
-    value = params.get(name, default)
+    """Take the parameter ``name`` out of ``params``: what is left was not read."""
+    value = params.pop(name, default)
     return None if value is None else _finite(value, f"bound parameter {name!r}")
 
 
@@ -276,25 +274,37 @@ def _structured(kind: str):
 
 
 def _unified(family: str):
+    """unified_bound of ``family``, which reads c0, and alpha (heavy tail) or
+    B (bounded, but not Bernoulli, whose B is 1)."""
+    read = {"heavy_tail": "alpha", "bounded": "B"}.get(family)
     return lambda profile, params: unified_bound(
         summarize(profile),
         family,
-        alpha=_param(params, "alpha"),
-        B=_param(params, "B"),
+        **({read: _param(params, read)} if read else {}),
         p_max=max(profile.p1, profile.p2),
         c0=_param(params, "c0", 1.0),
     )
 
 
-class _BoundTable(dict):
-    def __missing__(self, bound_id):
-        raise ParameterError(f"unknown bound id {bound_id!r}; expected one of {sorted(self)}")
+def _reading(bound_id: str, rate):
+    """``rate`` as the BOUNDS entry ``bound_id``: it takes the parameters it
+    reads out of a copy of params, and any left over is a ParameterError."""
+
+    def entry(profile: VarianceProfile, params: dict):
+        unread = dict(params)
+        report = rate(profile, unread)
+        if unread:
+            raise ParameterError(f"bound id {bound_id!r} does not read parameter {next(iter(unread))!r}")
+        return report
+
+    return entry
 
 
 # Every bound by id: a function of (profile, params) returning the library's
 # report (a BoundReport, or MomentTail for moment_tail).  Parameter defaults
-# live here and nowhere else; looking up an unknown id raises ParameterError.
-BOUNDS: dict = _BoundTable({
+# live here and nowhere else; looking up an unknown id, or passing a
+# parameter the id does not read, raises ParameterError.
+BOUNDS: dict = _Table("bound id", {bound_id: _reading(bound_id, rate) for bound_id, rate in {
     "gaussian": lambda profile, params: gaussian_upper_bound(
         summarize(profile), _param(params, "eps1", 0.1), _param(params, "eps2", 0.1)
     ),
@@ -312,7 +322,7 @@ BOUNDS: dict = _BoundTable({
         _param(params, "C", 1.0),
     ),
     **{f"unified_{family}": _unified(family) for family in _FAMILY_ALIASES},
-})
+}.items()})
 
 
 @dataclass(frozen=True)
@@ -334,8 +344,7 @@ def clustering_rates(
     sigma_tilde^4 = sum_i sigma_i^4.  Clustering is consistent iff ||mu||
     exceeds the threshold by a growing factor.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = _integer(n, "n", 1)
     mu_norm, sigma_star, sigma_tilde = (_finite(v, "norms", 0.0)
                                         for v in (mu_norm, sigma_star, sigma_tilde))
     threshold = max(sigma_star, sigma_tilde / n**0.25)

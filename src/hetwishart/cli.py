@@ -4,9 +4,11 @@ Subcommands: profile, bound, simulate, oracle, sweep, cluster.  Machine
 readable output is written atomically (temp file + rename); a short human
 summary goes to stdout.  All randomness flows from an explicit seed; there is
 no wall-clock fallback.  Exit codes: 0 success, 2 usage, 3 validation,
-4 size guard, 5 numerical failure.  One rule holds at each end: every number
-that comes in, from a flag or a JSON file, is finite and in range, or the run
-exits 3; every number that goes out is finite, or the run exits 5.
+4 size guard, 5 numerical failure.  Every value that comes in, from a flag or
+a JSON file, follows the rule of its kind, or the run exits 3: a number is a
+finite JSON number in range (not a string or a boolean), an integer is exact
+and at least its least value, and a name is in its table.  Every number that
+goes out is finite, or the run exits 5.
 """
 
 from __future__ import annotations
@@ -71,20 +73,20 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _setting(args, cfg: dict, name: str, default=None, convert=int):
+def _setting(args, cfg: dict, name: str, default=None):
     """The --name flag if given, else the config's value, else the default;
     a setting without a default is required."""
     value = getattr(args, name)
-    if value is not None:
-        return value
-    if name in cfg:
-        try:
-            return convert(cfg[name])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"config field {name!r}: {exc}") from None
-    if default is None:
+    if value is None:
+        value = cfg.get(name, default)
+    if value is None:
         raise ParameterError(f"--{name} (or a config with {name!r}) is required")
-    return default
+    return value
+
+
+def _integer_setting(args, cfg: dict, name: str, default=None, low=-math.inf) -> int:
+    """``_setting`` as an exact integer of at least ``low``."""
+    return profiles._integer(_setting(args, cfg, name, default), name, low)
 
 
 # ---------------------------------------------------------------- profile
@@ -119,9 +121,9 @@ def cmd_bound(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    seed = _setting(args, cfg, "seed")
-    threads = _setting(args, cfg, "threads", 1)
-    reps = _setting(args, cfg, "reps")
+    seed = _integer_setting(args, cfg, "seed")
+    threads = _integer_setting(args, cfg, "threads", 1)
+    reps = _integer_setting(args, cfg, "reps")
     if args.profile:
         prof = profiles.load_profile(args.profile)
     elif "profile" in cfg:
@@ -206,9 +208,9 @@ def _listed_profiles(family: dict, family_seed: int) -> _NamedProfiles:
 
 
 def _random_uniform_profiles(family: dict, family_seed: int) -> _NamedProfiles:
-    count = int(family["count"])
-    p1_lo, p1_hi = int(family.get("p1_min", 2)), int(family["p1_max"])
-    p2_lo, p2_hi = int(family.get("p2_min", 2)), int(family["p2_max"])
+    count = profiles._integer(family["count"], "count", 0)
+    p1_lo, p2_lo = (profiles._integer(family.get(key, 2), key, 1) for key in ("p1_min", "p2_min"))
+    p1_hi, p2_hi = (profiles._integer(family[key], key, 1) for key in ("p1_max", "p2_max"))
     lo, hi = (profiles._finite(family.get(key, default), key, 0.0)
               for key, default in (("sigma_min", 0.0), ("sigma_max", 1.0)))
     out = []
@@ -228,8 +230,8 @@ def _homoskedastic_grid(rows: bool):
 
     def build(family: dict, family_seed: int) -> _NamedProfiles:
         make = profiles.homoskedastic_rows if rows else profiles.homoskedastic_columns
-        grid = [int(v) for v in family[grid_key]]
-        other = int(family[other_key])
+        grid = [profiles._integer(v, grid_key, 1) for v in family[grid_key]]
+        other = profiles._integer(family[other_key], other_key, 1)
         lo, hi = (profiles._finite(family.get(key, default), key, 0.0)
                   for key, default in (("sigma_min", 0.5), ("sigma_max", 1.5)))
         out = []
@@ -243,31 +245,27 @@ def _homoskedastic_grid(rows: bool):
 
 # sweep family "kind" -> builder of the (name, profile) list from the family
 # object and the family seed
-_FAMILIES = {
+_FAMILIES = profiles._Table("profile family kind", {
     "list": _listed_profiles,
     "random_uniform": _random_uniform_profiles,
     "homoskedastic_rows_grid": _homoskedastic_grid(rows=True),
     "homoskedastic_columns_grid": _homoskedastic_grid(rows=False),
-}
+})
 
 
 def _resolve_family(family: dict, master_seed: int) -> _NamedProfiles:
     if not isinstance(family, dict):
         raise ParameterError(f"sweep family must be a JSON object, got {family!r}")
-    kind = family.get("kind")
-    build = _FAMILIES.get(kind) if isinstance(kind, str) else None
-    if build is None:
-        raise ParameterError(f"unknown profile family kind {kind!r}; expected one of {sorted(_FAMILIES)}")
-    return build(family, samplers.derive_seed(master_seed, _SALT_FAMILY))
+    return _FAMILIES[family.get("kind")](family, samplers.derive_seed(master_seed, _SALT_FAMILY))
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    seed = _setting(args, cfg, "seed")
-    threads = _setting(args, cfg, "threads", 1)
+    seed = _integer_setting(args, cfg, "seed")
+    threads = _integer_setting(args, cfg, "threads", 1)
     try:
         named = _resolve_family(cfg["family"], seed)
-        reps = int(cfg["reps"])
+        reps = profiles._integer(cfg["reps"], "reps")
         bound_cfg = dict(cfg.get("bound", {"id": "gaussian"}))
         bound_id = bound_cfg.pop("id")
     except KeyError as exc:
@@ -305,14 +303,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _load_config(args)
-    seed = _setting(args, cfg, "seed")
-    threads = _setting(args, cfg, "threads", 1)
-    n = _setting(args, cfg, "n")
-    p = _setting(args, cfg, "p")
-    reps = _setting(args, cfg, "reps")
-    lambda_grid = _setting(args, cfg, "lambdas", convert=lambda values: list(map(float, values)))
-    if p < 1:
-        raise ParameterError("p must be >= 1")
+    seed = _integer_setting(args, cfg, "seed")
+    threads = _integer_setting(args, cfg, "threads", 1)
+    n = _integer_setting(args, cfg, "n")
+    p = _integer_setting(args, cfg, "p", low=1)
+    reps = _integer_setting(args, cfg, "reps")
+    lambda_grid = _setting(args, cfg, "lambdas")
     if args.sigma_const is not None:
         sigmas = np.full(p, args.sigma_const)
     else:
@@ -325,7 +321,7 @@ def cmd_cluster(args) -> int:
         "n": n,
         "p": p,
         "reps": reps,
-        "lambdas": lambda_grid,
+        "lambdas": [r.lam for r in rows],
         "sigmas": [float(s) for s in sigmas],
         "seed": seed,
         "threads": threads,
@@ -414,7 +410,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow is caught by the finite-output rule, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ParameterError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -422,7 +420,8 @@ def main(argv=None) -> int:
         print(f"size guard: {exc}", file=sys.stderr)
         return 4
     except (NumericalError, np.linalg.LinAlgError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # a float power's OverflowError carries (errno, text): print the text
+        print(f"numerical failure: {exc.args[-1]}", file=sys.stderr)
         return 5
 
 

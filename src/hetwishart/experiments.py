@@ -13,6 +13,7 @@ either.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .errors import NumericalError, ParameterError
-from .profiles import VarianceProfile, _finite, summarize
+from .profiles import VarianceProfile, _finite, _integer, summarize
 from .samplers import NoiseModel, SampleSeed, derive_seed, generator, sample
 from .spectral import _CenteredOperator, _extreme_eigenpair, _one_blas_thread, spectral_norm
 
@@ -66,12 +67,10 @@ def _run_replicates(fn: Callable[[int], float], n_reps: int, threads: int) -> np
     The whole run, at every ``threads`` value, holds OpenBLAS to one thread
     (``_one_blas_thread``): a product or eigensolve then gives the same bits
     whatever the host's BLAS threading, and the workers do not oversubscribe
-    the CPUs with BLAS threads of their own.
+    the CPUs with BLAS threads of their own.  Pool workers take the caller's
+    numpy floating-point error handling (``np.errstate`` is per thread).
     """
-    if n_reps < 1:
-        raise ParameterError("n_reps must be >= 1")
-    if threads < 1:
-        raise ParameterError("threads must be >= 1")
+    n_reps, threads = _integer(n_reps, "n_reps", 1), _integer(threads, "threads", 1)
     with _one_blas_thread():
         if threads == 1:
             # The calling thread is the one worker.  A pool thread would
@@ -80,7 +79,8 @@ def _run_replicates(fn: Callable[[int], float], n_reps: int, threads: int) -> np
             # sweep to p1 = 3000, x86_64 glibc.
             values = [fn(r) for r in range(n_reps)]
         else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+            errors = functools.partial(np.seterr, **np.geterr())
+            with ThreadPoolExecutor(threads, initializer=errors) as pool:
                 values = list(pool.map(fn, range(n_reps)))
     return np.asarray(values, dtype=float)
 
@@ -124,8 +124,7 @@ def estimate_concentration(
     threads: int = 1,
 ) -> ConcentrationEstimate:
     """Monte Carlo summary of E||ZZ' - E ZZ'|| over n_reps replicates."""
-    if n_reps < 2:
-        raise ParameterError("n_reps must be >= 2")
+    n_reps = _integer(n_reps, "n_reps", 2)
     norms = concentration_norms(profile, model, n_reps, master_seed, threads)
     quantiles = {p: float(np.quantile(norms, p)) for p in DEFAULT_QUANTILES}
     return ConcentrationEstimate(
@@ -196,14 +195,18 @@ def rate_sweep(
     Each grid point runs on its own derived seed, so adding or removing rows
     never perturbs the others.  The bound is the ``bounds.BOUNDS`` entry
     ``bound_id`` (the moment bound for ``moment_tail``); an unknown id raises
-    ParameterError before any replicate runs, even over an empty family.
+    ParameterError before any replicate runs, even over an empty family, and
+    each row's bound is evaluated before its replicates.  A row whose mean,
+    std_err or bound is not finite raises NumericalError.
     """
     bound_fn = bounds_mod.BOUNDS[bound_id]
     rows = []
     for index, (name, profile) in enumerate(named_profiles):
+        bound = bound_fn(profile, bound_params or {}).value
         row_seed = derive_seed(master_seed, _SALT_SWEEP_ROW | index)
         est = estimate_concentration(profile, model, n_reps, row_seed, threads)
-        bound = bound_fn(profile, dict(bound_params or {})).value
+        if not all(map(math.isfinite, (est.mean, est.std_err, bound))):
+            raise NumericalError(f"sweep row {name!r}: mean, std_err or bound is not a finite number")
         ratio = est.mean / bound if bound > 0 else float("nan")
         rows.append(
             SweepRow(
@@ -254,18 +257,19 @@ class ClusteringInstance:
         mu = np.asarray(self.mu, dtype=float)
         labels = np.asarray(self.labels)
         sigmas = _finite(self.sigmas, "sigmas", 0.0, ndim=1)
-        if self.n < 1 or self.p < 1:
-            raise ParameterError("n and p must be >= 1")
-        if mu.shape != (self.p,):
-            raise ParameterError(f"mu must have length p = {self.p}")
-        if labels.shape != (self.n,) or not np.all(np.isin(labels, (-1, 1))):
+        n, p = _integer(self.n, "n", 1), _integer(self.p, "p", 1)
+        if mu.shape != (p,):
+            raise ParameterError(f"mu must have length p = {p}")
+        if labels.shape != (n,) or not np.all(np.isin(labels, (-1, 1))):
             raise ParameterError("labels must be a length-n vector with entries in {-1, +1}")
-        if sigmas.shape != (self.p,):
-            raise ParameterError(f"sigmas must have length p = {self.p}")
+        if sigmas.shape != (p,):
+            raise ParameterError(f"sigmas must have length p = {p}")
         for name, arr in (("mu", mu), ("labels", labels.astype(int)), ("sigmas", sigmas)):
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
 
 
 def generate_mixture(instance: ClusteringInstance, seed: SampleSeed) -> np.ndarray:
@@ -343,7 +347,7 @@ def phase_diagram(
     sigmas = _finite(sigmas, "sigmas", 0.0, ndim=1)
     if sigmas.shape != (p,):
         raise ParameterError(f"sigmas must have length p = {p}")
-    lambda_grid = [_finite(lam, "lambda", 0.0) for lam in lambda_grid]
+    lambda_grid = _finite(lambda_grid, "lambdas", 0.0, ndim=1)
     direction = np.zeros(p)
     direction[0] = 1.0
 

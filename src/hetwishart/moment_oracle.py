@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParameterError, SizeGuardError
-from .profiles import _REL_SLACK, VarianceProfile, _ceil_tol, _finite
+from .profiles import _REL_SLACK, VarianceProfile, _ceil_tol, _finite, _integer
 
 __all__ = [
     "MAX_GAUSSIAN_ORDER",
@@ -87,8 +87,7 @@ def gaussian_moment(alpha: int, beta: int) -> int:
     Satisfies the sandwich (alpha+2beta-3)!!(alpha+beta-1) <= value
     <= (alpha+2beta-1)!! for even alpha with alpha + 2 beta >= 2.
     """
-    if alpha < 0 or beta < 0:
-        raise ParameterError("alpha and beta must be nonnegative integers")
+    alpha, beta = _integer(alpha, "alpha", 0), _integer(beta, "beta", 0)
     if alpha + 2 * beta > MAX_GAUSSIAN_ORDER:
         raise SizeGuardError(
             f"alpha + 2*beta = {alpha + 2 * beta} exceeds the exact-arithmetic guard {MAX_GAUSSIAN_ORDER}"
@@ -109,8 +108,7 @@ def heavy_tail_moment(alpha: int, beta: int, b: float) -> float:
     F has a stretched-exponential tail with Orlicz exponent 2/b; b = 1 is the
     Gaussian case and is returned exactly from ``gaussian_moment``.
     """
-    if alpha < 0 or beta < 0:
-        raise ParameterError("alpha and beta must be nonnegative integers")
+    alpha, beta = _integer(alpha, "alpha", 0), _integer(beta, "beta", 0)
     b = _finite(b, "b", 1.0)
     order = alpha + 2 * beta
     if order > MAX_HEAVY_TAIL_ORDER:
@@ -143,11 +141,6 @@ def _guard(count: int, work: str) -> int:
     if count > ENUMERATION_GUARD:
         raise SizeGuardError(f"{work} = {count} exceeds the guard {ENUMERATION_GUARD}")
     return count
-
-
-def _check_q(q: int) -> None:
-    if q < 1:
-        raise ParameterError("q must be >= 1")
 
 
 # ---------------------------------------------------------------- shape engine
@@ -261,7 +254,7 @@ def _trace_moment(q: int, p1: int, p2: int, sigma: np.ndarray | None = None,
     labelings go into one fsum, which M multiplies, and an outer fsum adds the
     shapes.  The guard counts shape pairs visited plus labelings summed.
     """
-    _check_q(q)
+    q = _integer(q, "q", 1)
     pairs = _guard(_growth_string_count(q, p1) * _growth_string_count(q, p2), "shape pairs")
     shapes = _shapes(q, min(p1, q), min(p2, q), deleted)
     if sigma is None or (sigma == 1.0).all():
@@ -379,9 +372,7 @@ def check_paired_moment(x1: int, x2: int, x3: int, x4: int, x5: int) -> Comparis
         |E Z1^(x1+x5) (Z1^2-1)^x3| * |E Z2^(x2+x5) (Z2^2-1)^x4|
             <= E G^(x1+x2) (G^2-1)^(x3+x4+x5).
     """
-    xs = (x1, x2, x3, x4, x5)
-    if any(x < 0 for x in xs):
-        raise ParameterError("x1..x5 must be nonnegative integers")
+    x1, x2, x3, x4, x5 = (_integer(x, f"x{k}", 0) for k, x in enumerate((x1, x2, x3, x4, x5), 1))
     if x1 + x2 + 2 * (x3 + x4 + x5) > MAX_HEAVY_TAIL_ORDER:
         raise SizeGuardError("total order exceeds the paired-moment guard")
     lhs = abs(gaussian_moment(x1 + x5, x3) * gaussian_moment(x2 + x5, x4))

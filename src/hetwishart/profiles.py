@@ -51,23 +51,56 @@ def _ceil_tol(x: float) -> int:
 def _finite(value, what: str, low: float = -math.inf, high: float = math.inf, *,
             open_low: bool = False, ndim: int = 0):
     """The one check for numbers coming in: ``value`` as a float, or as a
-    nonempty float array of ``ndim`` > 0 dimensions, whose every entry is
-    finite and in [low, high] ((low, high] with ``open_low``).  Anything else
-    raises ParameterError naming ``what``.  A NaN entry makes the least and
-    the greatest entry NaN, and NaN compares false, so it never passes."""
+    nonempty float array of ``ndim`` > 0 dimensions, whose every entry is a
+    JSON number (an integer or a float: not a string, a boolean or null) that
+    is finite and in [low, high] ((low, high] with ``open_low``).  Anything
+    else raises ParameterError naming ``what``.  A NaN entry makes the least
+    and the greatest entry NaN, and NaN compares false, so it never passes."""
+    got = f", got {value!r}" if ndim == 0 else ""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"{what} must be numeric: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ParameterError(f"{what} must be numeric{got}")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != ndim or arr.size == 0:
         shape = "a number" if ndim == 0 else f"a nonempty {ndim}-d array"
         raise ParameterError(f"{what} must be {shape}, got shape {arr.shape}")
     least, most = float(arr.min()), float(arr.max())
     above = least > low if open_low else least >= low
     if not (above and most <= high and math.isfinite(least) and math.isfinite(most)):
-        got = f", got {value!r}" if ndim == 0 else ""
         raise ParameterError(f"{what} must be finite and in {'(' if open_low else '['}{low:g}, {high:g}]{got}")
     return least if ndim == 0 else arr
+
+
+def _integer(value, what: str, low: float = -math.inf) -> int:
+    """The one check for integers coming in: ``value`` as an exact int, from a
+    Python or numpy integer that is not a bool, or a float of integral value,
+    and at least ``low``.  Anything else raises ParameterError naming
+    ``what``.  Integers never pass through float, so a 64-bit seed stays exact."""
+    integral = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                or isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if not integral:
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise ParameterError(f"{what} must be >= {low}, got {int(value)}")
+    return int(value)
+
+
+class _Table(dict):
+    """A table of named entries: ``table[name]`` of an unknown name, or of a
+    name that is not a string, raises ParameterError listing the known ones."""
+
+    def __init__(self, what: str, entries: dict):
+        super().__init__(entries)
+        self.what = what
+
+    def __getitem__(self, name):
+        try:
+            return super().__getitem__(name)
+        except (KeyError, TypeError):
+            raise ParameterError(f"unknown {self.what} {name!r}; expected one of {sorted(self)}") from None
 
 
 @dataclass(frozen=True)
@@ -110,8 +143,7 @@ class ProfileSummary:
     p_min: int
 
     def __post_init__(self):
-        if self.p_min < 1:
-            raise ParameterError("p_min must be >= 1")
+        object.__setattr__(self, "p_min", _integer(self.p_min, "p_min", 1))
 
 
 def summarize(profile: VarianceProfile) -> ProfileSummary:
@@ -130,26 +162,21 @@ def summarize(profile: VarianceProfile) -> ProfileSummary:
 def homoskedastic_rows(sigmas, p2: int) -> VarianceProfile:
     """Profile with sigma_ij = sigmas[i] for every column j."""
     vec = _finite(sigmas, "sigmas", 0.0, ndim=1)
-    if p2 < 1:
-        raise ParameterError("p2 must be >= 1")
-    return VarianceProfile(np.tile(vec[:, None], (1, p2)))
+    return VarianceProfile(np.tile(vec[:, None], (1, _integer(p2, "p2", 1))))
 
 
 def homoskedastic_columns(sigmas, p1: int) -> VarianceProfile:
     """Profile with sigma_ij = sigmas[j] for every row i."""
     vec = _finite(sigmas, "sigmas", 0.0, ndim=1)
-    if p1 < 1:
-        raise ParameterError("p1 must be >= 1")
-    return VarianceProfile(np.tile(vec[None, :], (p1, 1)))
+    return VarianceProfile(np.tile(vec[None, :], (_integer(p1, "p1", 1), 1)))
 
 
-def _check_admissible(sigma_star: float, sigma_C: float, sigma_R: float, p1: int, p2: int) -> None:
+def _check_admissible(sigma_star: float, sigma_C: float, sigma_R: float, p1: int, p2: int) -> tuple[int, int]:
     """Reject dimensions below 1 and scale tuples outside the minimax lower
     bound's range, min(sigma_C, sigma_R) >= sigma_* >= max(sigma_C/sqrt(p1),
-    sigma_R/sqrt(p2)), up to the relative slack _REL_SLACK.  The
-    ParameterError names the inequality that fails."""
-    if p1 < 1 or p2 < 1:
-        raise ParameterError("p1 and p2 must be >= 1")
+    sigma_R/sqrt(p2)), up to the relative slack _REL_SLACK, and return the
+    dimensions as ints.  The ParameterError names the inequality that fails."""
+    p1, p2 = _integer(p1, "p1", 1), _integer(p2, "p2", 1)
     slack = 1.0 + _REL_SLACK
     if sigma_star > min(sigma_C, sigma_R) * slack:
         raise ParameterError(
@@ -163,6 +190,7 @@ def _check_admissible(sigma_star: float, sigma_C: float, sigma_R: float, p1: int
         raise ParameterError(
             f"inadmissible: sigma_star < sigma_R/sqrt(p2) ({sigma_star} < {sigma_R / math.sqrt(p2)})"
         )
+    return p1, p2
 
 
 LOWER_BOUND_KINDS = ("single_column", "block", "block_diagonal")
@@ -195,7 +223,7 @@ def lower_bound_profile(
         raise ParameterError(f"unknown lower-bound kind {kind!r}; expected one of {LOWER_BOUND_KINDS}")
     sigma_star, sigma_C, sigma_R = (_finite(v, "sigma_star, sigma_C, sigma_R", 0.0)
                                     for v in (sigma_star, sigma_C, sigma_R))
-    _check_admissible(sigma_star, sigma_C, sigma_R, p1, p2)
+    p1, p2 = _check_admissible(sigma_star, sigma_C, sigma_R, p1, p2)
 
     grid = np.zeros((p1, p2))
     if kind == "single_column":
@@ -231,22 +259,20 @@ def _lower_bound_from_json(payload: dict) -> VarianceProfile:
         sigma_star=params["sigma_star"],
         sigma_C=params["sigma_C"],
         sigma_R=params["sigma_R"],
-        p1=int(params["p1"]),
-        p2=int(params["p2"]),
+        p1=params["p1"],
+        p2=params["p2"],
     )
 
 
 # profile JSON "kind" -> builder of the grid from the parsed JSON object
-_PROFILE_KINDS = {
-    "explicit": lambda payload: VarianceProfile(np.asarray(payload["sigma"], dtype=float)),
-    "homoskedastic_rows": lambda payload: homoskedastic_rows(
-        payload["sigmas"], int(payload["other_dim"])
-    ),
+_PROFILE_KINDS = _Table("profile kind", {
+    "explicit": lambda payload: VarianceProfile(payload["sigma"]),
+    "homoskedastic_rows": lambda payload: homoskedastic_rows(payload["sigmas"], payload["other_dim"]),
     "homoskedastic_columns": lambda payload: homoskedastic_columns(
-        payload["sigmas"], int(payload["other_dim"])
+        payload["sigmas"], payload["other_dim"]
     ),
     "lower_bound": _lower_bound_from_json,
-}
+})
 
 
 def profile_from_json(text: str) -> VarianceProfile:
@@ -261,10 +287,7 @@ def profile_from_json(text: str) -> VarianceProfile:
 def _profile_from_payload(payload) -> VarianceProfile:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ParameterError('profile JSON must be an object with a "kind" field')
-    kind = payload["kind"]
-    build = _PROFILE_KINDS.get(kind) if isinstance(kind, str) else None
-    if build is None:
-        raise ParameterError(f"unknown profile kind {kind!r}; expected one of {sorted(_PROFILE_KINDS)}")
+    build = _PROFILE_KINDS[payload["kind"]]
     try:
         return build(payload)
     except KeyError as exc:

@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ParameterError
-from .profiles import VarianceProfile, _finite
+from .profiles import VarianceProfile, _finite, _integer, _Table
 
 __all__ = [
     "SampleSeed",
@@ -56,8 +56,7 @@ class SampleSeed:
     replicate_index: int
 
     def __post_init__(self):
-        if self.replicate_index < 0:
-            raise ParameterError("replicate_index must be nonnegative")
+        object.__setattr__(self, "replicate_index", _integer(self.replicate_index, "replicate_index", 0))
 
 
 def generator(seed: SampleSeed) -> np.random.Generator:
@@ -257,9 +256,9 @@ class HeavyTail(NoiseModel):
         return max(vals)
 
 
-MODELS: dict[str, type[NoiseModel]] = {
+MODELS: dict[str, type[NoiseModel]] = _Table("noise model name", {
     cls.kind: cls for cls in (Gaussian, ScaledRademacher, Bounded, Bernoulli, HeavyTail)
-}
+})
 
 
 def sample(profile: VarianceProfile, model: NoiseModel, seed: SampleSeed) -> np.ndarray:
@@ -280,8 +279,4 @@ def model_to_json_dict(model: NoiseModel) -> dict:
 def model_from_json_dict(payload: dict) -> NoiseModel:
     if not isinstance(payload, dict) or "model" not in payload:
         raise ParameterError('noise model JSON must be an object with a "model" field')
-    name = payload["model"]
-    cls = MODELS.get(name)
-    if cls is None:
-        raise ParameterError(f"unknown noise model name {name!r}; expected one of {sorted(MODELS)}")
-    return cls.from_params(payload.get("params", {}))
+    return MODELS[payload["model"]].from_params(payload.get("params", {}))

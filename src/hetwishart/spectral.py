@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .errors import ContractError, NumericalError, ParameterError
-from .profiles import VarianceProfile
+from .profiles import VarianceProfile, _integer
 from .samplers import NoiseModel
 
 __all__ = ["DENSE_CUTOFF", "centered_operator", "spectral_norm", "trace_power"]
@@ -290,8 +290,7 @@ def spectral_norm(A: np.ndarray | _CenteredOperator) -> float:
 
 def trace_power(A: np.ndarray, q: int) -> float:
     """Exact tr(A^q) for symmetric A by q - 1 matrix products."""
-    if q < 1:
-        raise ParameterError("q must be >= 1")
+    q = _integer(q, "q", 1)
     S = _check_symmetric(A)
     P = S
     for _ in range(q - 1):

@@ -115,6 +115,13 @@ def test_unified_bound_families():
         unified_bound(s2, "bounded")  # missing B
     with pytest.raises(ParameterError):
         unified_bound(s2, "levy")
+    with pytest.raises(ParameterError, match="unknown family"):
+        unified_bound(s2, ["gaussian"])
+
+    # an alias family is named as asked, with the value of the family it aliases
+    rad = unified_bound(s2, "rademacher")
+    assert (rad.bound_id, rad.value) == ("unified_rademacher", sub.value)
+    assert bern.bound_id == "unified_bernoulli"
 
 
 def test_moment_and_tail():

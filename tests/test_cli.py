@@ -193,8 +193,8 @@ def test_cluster_subcommand(tmp_path, capsys):
 
 # Expected report of every bound id on an all-ones profile (admissible for the
 # lower bound and homoskedastic both ways), called straight on the library
-# with the CLI's defaults and the flags in BOUND_FLAGS.
-BOUND_FLAGS = ["--alpha", "1.5", "--B", "2.0"]
+# with the CLI's defaults and the flags in BOUND_FLAGS, which each id reads.
+BOUND_FLAGS = {"unified_heavy_tail": ["--alpha", "1.5"], "unified_bounded": ["--B", "2.0"]}
 ONES = VarianceProfile(np.ones((3, 5)))
 EXPECTED_REPORTS = {
     "gaussian": lambda s: asdict(gaussian_upper_bound(s, 0.1, 0.1)),
@@ -231,7 +231,7 @@ def test_readme_bound_table_lists_every_bound_id():
 @pytest.mark.parametrize("bound_id", sorted(EXPECTED_REPORTS))
 def test_bound_prints_the_library_report(tmp_path, capsys, bound_id):
     path = write_profile(tmp_path, ONES.sigma)
-    assert main(["bound", "--profile", path, "--id", bound_id, *BOUND_FLAGS]) == 0
+    assert main(["bound", "--profile", path, "--id", bound_id, *BOUND_FLAGS.get(bound_id, [])]) == 0
     assert json.loads(capsys.readouterr().out) == EXPECTED_REPORTS[bound_id](summarize(ONES))
 
 
@@ -245,7 +245,7 @@ def test_sweep_accepts_every_bound_kind(tmp_path, capsys, bound_id):
     cfg.write_text(json.dumps({
         "family": {"kind": "list", "profiles": [{"profile": r} for r in rows]},
         "reps": 2,
-        "bound": {"id": bound_id, "b": 3.0},
+        "bound": {"id": bound_id, **({"b": 3.0} if bound_id == "moment_tail" else {})},
     }))
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
@@ -312,6 +312,40 @@ def _bad_input_args(tmp_path):
     lower_nan = tmp_path / "lower_nan.json"
     lower_nan.write_text('{"kind": "lower_bound", "variant": "block", "params": {"sigma_star": NaN, '
                          '"sigma_C": 1, "sigma_R": 1, "p1": 2, "p2": 2}}')
+    listed = {"kind": "list", "profiles": [{"profile": {"kind": "explicit", "sigma": [[0.5, 0.5]]}}]}
+    grid = {"kind": "homoskedastic_rows_grid", "p1_grid": [3], "p2": 2}
+    misread = {  # name -> (command, config or profile) with one value of the wrong kind
+        "sweep_bound_id_list": ("sweep", {"family": listed, "reps": 2, "bound": {"id": ["gaussian"]}}),
+        "sweep_model_name_dict": ("sweep", {"family": listed, "reps": 2, "model": {"model": {"x": 1}}}),
+        "sweep_reps_fraction": ("sweep", {"family": listed, "reps": 2.9}),
+        "sweep_grid_dim_fraction": ("sweep", {"family": {**grid, "p1_grid": [3.7]}, "reps": 2}),
+        "sweep_grid_dim_string": ("sweep", {"family": {**grid, "p1_grid": ["4"]}, "reps": 2}),
+        "sweep_grid_p2_fraction": ("sweep", {"family": {**grid, "p2": 2.5}, "reps": 2}),
+        "sweep_seed_string": ("sweep", {"family": grid, "reps": 2, "seed": "7"}),
+        "sweep_bound_eps1_string": ("sweep", {"family": listed, "reps": 2,
+                                              "bound": {"id": "gaussian", "eps1": "0.5"}}),
+        "sweep_bound_eps2_true": ("sweep", {"family": listed, "reps": 2,
+                                            "bound": {"id": "gaussian", "eps2": True}}),
+        "sweep_bound_unread_param": ("sweep", {"family": listed, "reps": 2,
+                                               "bound": {"id": "gaussian", "eps_1": 5.0}}),
+        "simulate_threads_true": ("simulate", {"profile": {"kind": "explicit", "sigma": [[0.5]]},
+                                               "reps": 2, "seed": 1, "threads": True}),
+        "cluster_n_fraction": ("cluster", {"n": 20.9, "p": 2, "reps": 2, "seed": 1, "lambdas": [1.0]}),
+        "cluster_p_string": ("cluster", {"n": 20, "p": "4", "reps": 2, "seed": 1, "lambdas": [1.0]}),
+        "cluster_lambdas_string": ("cluster", {"n": 20, "p": 2, "reps": 2, "seed": 1,
+                                               "lambdas": ["1.5"]}),
+        "cluster_lambdas_empty": ("cluster", {"n": 20, "p": 2, "reps": 2, "seed": 1, "lambdas": []}),
+        "profile_other_dim_fraction": ("profile", {"kind": "homoskedastic_rows", "sigmas": [1.0],
+                                                   "other_dim": 3.5}),
+        "profile_lower_p2_true": ("profile", {"kind": "lower_bound", "variant": "block", "params": {
+            "sigma_star": 1, "sigma_C": 1, "sigma_R": 1, "p1": 2, "p2": True}}),
+        "profile_sigma_string_and_true": ("profile", {"kind": "explicit",
+                                                      "sigma": [["0.5", True], [0.5, 0.5]]}),
+    }
+    for name, (command, payload) in misread.items():
+        seeded = {"seed": 1, **payload} if command == "sweep" else payload
+        (tmp_path / f"{name}.json").write_text(json.dumps(seeded))
+    read_as = {"sweep": ["--out", str(tmp_path / "misread.csv")]}
     simulate = ["simulate", "--profile", profile, "--reps", "2", "--seed", "1"]
     cluster = ["cluster", "--n", "30", "--lambdas", "1.0", "--seed", "1"]
     cluster_grid = ["cluster", "--n", "30", "--p", "4", "--reps", "2", "--sigma-const", "1",
@@ -371,6 +405,12 @@ def _bad_input_args(tmp_path):
             "--out", str(tmp_path / f"{constant}.csv")] for constant in ("NaN", "Infinity")},
         "sweep_seed_inf": ["sweep", "--config", str(seed_inf), "--out", str(tmp_path / "s.csv")],
         "profile_lower_bound_sigma_star_nan": ["profile", "--in", str(lower_nan)],
+        **{name: [command, "--in" if command == "profile" else "--config",
+                  str(tmp_path / f"{name}.json"), *read_as.get(command, [])]
+           for name, (command, _) in misread.items()},
+        "model_name_list": [*simulate, "--model", '{"model": ["gaussian"]}'],
+        "bound_unread_flag": [*bound, "--id", "gaussian", "--alpha", "3"],
+        "bound_unread_flag_of_an_alias": [*bound, "--id", "unified_bernoulli", "--B", "2"],
     }
 
 
@@ -391,6 +431,13 @@ def _bad_input_args(tmp_path):
     "cluster_config_sigmas_nan", "model_bounded_B_inf", "model_bounded_B_inf_text",
     "sweep_sigma_max_NaN", "sweep_sigma_max_Infinity", "sweep_seed_inf",
     "profile_lower_bound_sigma_star_nan",
+    "sweep_bound_id_list", "sweep_model_name_dict", "sweep_reps_fraction",
+    "sweep_grid_dim_fraction", "sweep_grid_dim_string", "sweep_grid_p2_fraction",
+    "sweep_seed_string", "sweep_bound_eps1_string", "sweep_bound_eps2_true",
+    "sweep_bound_unread_param", "simulate_threads_true", "cluster_n_fraction", "cluster_p_string",
+    "cluster_lambdas_string", "cluster_lambdas_empty", "profile_other_dim_fraction", "profile_lower_p2_true",
+    "profile_sigma_string_and_true", "model_name_list", "bound_unread_flag",
+    "bound_unread_flag_of_an_alias",
 ])
 def test_bad_input_exits_3_with_error_line(tmp_path, capsys, case):
     assert main(_bad_input_args(tmp_path)[case]) == 3
@@ -405,11 +452,16 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# flag text of a value that is not a number -> the JSON value it stands for
+NOT_NUMBERS = {"x": "x", '"0.5"': "0.5", "true": True}
+
+
 def _float_field_argv(tmp_path, field, value):
     """argv of a run on a 2x2 profile that puts ``value`` (the text of a flag,
-    or in JSON the number it reads as, or the string "x") into ``field``.
-    Every case writes its own files, so building them all leaves each intact."""
-    number = value if value == "x" else float(value)
+    or in JSON the number it reads as, or the value of NOT_NUMBERS) into
+    ``field``.  Every case writes its own files, so building them all leaves
+    each intact."""
+    number = NOT_NUMBERS[value] if value in NOT_NUMBERS else float(value)
 
     def put(name, payload):
         path = tmp_path / f"{name}.json"
@@ -479,26 +531,93 @@ FLOAT_FIELDS = (
     "sweep_grid_sigma_max",
 )
 FLAG_TEXT_FIELDS = (*FLAG_FIELDS, "cluster_sigma_const", "cluster_lambdas")
+# fields whose value sits in an array beside other numbers: numpy reads a
+# boolean among numbers as 1.0 or 0.0, so ``true`` there still passes
+ARRAY_FIELDS = ("cluster_config_sigmas", "profile_sigma",
+                "profile_rows_sigmas", "bound_profile_sigma", "simulate_profile_sigma",
+                "oracle_profile_sigma", "simulate_bernoulli_theta")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-320", "x"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-320", *NOT_NUMBERS])
 @pytest.mark.parametrize("field", FLOAT_FIELDS)
-def test_every_float_field_keeps_the_finite_rule(tmp_path, capsys, field, value):
-    """A number that comes in is finite and in range, or the run exits 3; a
-    number that goes out is finite, or the run exits 5.  No input raises."""
+def test_every_float_field_keeps_the_finite_rule(request, tmp_path, capsys, field, value):
+    """A number that comes in is a finite JSON number in range, or the run
+    exits 3; a number that goes out is finite, or the run exits 5.  No input
+    raises."""
+    if value == "true" and field in ARRAY_FIELDS:
+        request.applymarker(pytest.mark.xfail(strict=True, reason="true among numbers reads as 1.0"))
     try:
         code = main(_float_field_argv(tmp_path, field, value))
     except SystemExit as exc:  # argparse rejects the text of a flag
         code = exc.code
     out = capsys.readouterr().out
-    if value == "x" and field in FLAG_TEXT_FIELDS:
+    if value in NOT_NUMBERS and field in FLAG_TEXT_FIELDS:
         assert code == 2
-    elif value in ("nan", "inf", "-inf", "x"):
+    elif value in ("nan", "inf", "-inf", *NOT_NUMBERS):
         assert code == 3
     else:
         assert code in (0, 3, 4, 5)
     if code == 0:
         _strict_json(out)
+
+
+def _integer_field_argv(tmp_path, field, value):
+    """argv of a small run whose JSON input puts ``value`` into ``field``."""
+    uniform = {"kind": "random_uniform", "count": 1, "p1_max": 2, "p2_max": 2}
+    rows = {"kind": "homoskedastic_rows_grid", "p1_grid": [2], "p2": 2}
+    columns = {"kind": "homoskedastic_columns_grid", "p2_grid": [2], "p1": 2}
+    sweep = {"family": uniform, "reps": 2, "seed": 1}
+    cluster = {"n": 20, "p": 2, "reps": 2, "seed": 1, "lambdas": [1.0]}
+    simulate = {"profile": {"kind": "explicit", "sigma": [[0.5, 0.5], [0.5, 0.5]]}, "reps": 2, "seed": 1}
+    lower = {"sigma_star": 1.0, "sigma_C": 1.0, "sigma_R": 1.0, "p1": 2, "p2": 2}
+    command, payload = {
+        **{f"simulate_{key}": ("simulate", {**simulate, key: value}) for key in ("reps", "threads", "seed")},
+        **{f"sweep_{key}": ("sweep", {**sweep, key: value}) for key in ("reps", "threads", "seed")},
+        **{f"sweep_{key}": ("sweep", {**sweep, "family": {**uniform, key: value}})
+           for key in ("count", "p1_min", "p1_max", "p2_min", "p2_max")},
+        "sweep_p1_grid": ("sweep", {**sweep, "family": {**rows, "p1_grid": [value]}}),
+        "sweep_p2": ("sweep", {**sweep, "family": {**rows, "p2": value}}),
+        "sweep_p2_grid": ("sweep", {**sweep, "family": {**columns, "p2_grid": [value]}}),
+        "sweep_p1": ("sweep", {**sweep, "family": {**columns, "p1": value}}),
+        **{f"cluster_{key}": ("cluster", {**cluster, key: value})
+           for key in ("n", "p", "reps", "seed", "threads")},
+        **{f"profile_{kind}_other_dim": ("profile", {"kind": f"homoskedastic_{kind}", "sigmas": [0.5, 0.5],
+                                                     "other_dim": value}) for kind in ("rows", "columns")},
+        **{f"profile_lower_{key}": ("profile", {"kind": "lower_bound", "variant": "block",
+                                                 "params": {**lower, key: value}}) for key in ("p1", "p2")},
+    }[field]
+    path = tmp_path / f"{field}.json"
+    path.write_text(json.dumps(payload))
+    if command == "profile":
+        return ["profile", "--in", str(path)]
+    return [command, "--config", str(path), *(["--out", str(tmp_path / "out.csv")] if command == "sweep" else [])]
+
+
+# integer field -> the least value a run takes there (None: any integer)
+INTEGER_FIELDS = {
+    "simulate_reps": 2, "simulate_threads": 1, "simulate_seed": None,
+    "sweep_reps": 2, "sweep_threads": 1, "sweep_seed": None, "sweep_count": 0,
+    "sweep_p1_min": 1, "sweep_p1_max": 1, "sweep_p2_min": 1, "sweep_p2_max": 1,
+    "sweep_p1_grid": 1, "sweep_p2": 1, "sweep_p2_grid": 1, "sweep_p1": 1,
+    "cluster_n": 1, "cluster_p": 1, "cluster_reps": 1, "cluster_seed": None, "cluster_threads": 1,
+    "profile_rows_other_dim": 1, "profile_columns_other_dim": 1,
+    "profile_lower_p1": 1, "profile_lower_p2": 1,
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", -1, 0])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_every_integer_field_keeps_the_integer_rule(tmp_path, capsys, field, value):
+    """An integer that comes in is exact (not a fraction, a boolean or a
+    string) and in range, or the run exits 3.  No input raises."""
+    low = INTEGER_FIELDS[field]
+    code = main(_integer_field_argv(tmp_path, field, value))
+    err = capsys.readouterr().err
+    if type(value) is int and (low is None or value >= low):
+        assert code == 0
+    else:
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_summary_ratios_skip_zero_bounds_in_any_order(tmp_path, capsys):
@@ -647,3 +766,42 @@ def test_simulate_output_is_independent_of_blas_threads(tmp_path):
                        capture_output=True, env=env, check=True)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _overflow_argv(tmp_path, case, threads):
+    big = write_profile(tmp_path, [[1e308, 0.5], [0.5, 0.5]], "big.json")
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "family": {"kind": "list", "profiles": [
+            {"profile": {"kind": "homoskedastic_rows", "sigmas": [1e200, 1e200], "other_dim": 2}}]},
+        "reps": 4, "bound": {"id": "structured_rows"},
+    }))
+    bound_sweep = tmp_path / "bound_sweep.json"
+    bound_sweep.write_text(json.dumps({
+        "family": {"kind": "list", "profiles": [{"profile": {"kind": "explicit", "sigma": [[0.5]]}}]},
+        "reps": 2, "bound": {"id": "gaussian", "eps1": 1e308},
+    }))
+    out = ["--out", str(tmp_path / "out.csv")]
+    return {
+        "profile": ["profile", "--in", big],
+        "bound": ["bound", "--profile", big, "--id", "gaussian"],
+        "simulate": ["simulate", "--profile", big, "--reps", "4", "--seed", "1", "--threads", threads],
+        "sweep_profile": ["sweep", "--config", str(sweep), "--seed", "1", "--threads", threads, *out],
+        "sweep_bound": ["sweep", "--config", str(bound_sweep), "--seed", "1", "--threads", threads, *out],
+    }[case]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", ["profile", "bound", "simulate", "sweep_profile", "sweep_bound"])
+def test_an_overflow_exits_5_with_one_line_and_no_output_file(tmp_path, case, threads):
+    """A finite input whose result overflows exits 5 and prints exactly one
+    stderr line, with no numpy warning and no errno tuple, on any number of
+    threads; a sweep writes no CSV."""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    proc = subprocess.run([sys.executable, "-m", "hetwishart.cli",
+                           *_overflow_argv(tmp_path, case, threads)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+    assert "(34," not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()

@@ -8,6 +8,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from hetwishart import (
+    Bernoulli,
     ClusteringInstance,
     Gaussian,
     NumericalError,
@@ -110,6 +111,36 @@ def test_evaluate_bound_dispatch():
     assert BOUNDS["unified_sub_gaussian"](prof, {}).value > 0
     with pytest.raises(ParameterError):
         BOUNDS["nonsense"]
+
+
+@pytest.mark.parametrize("bound_id, params", [
+    ("gaussian", {"eps_1": 5.0}), ("gaussian", {"alpha": 1.5}), ("structured_rows", {"b": 3.0}),
+    ("unified_gaussian", {"B": 2.0}), ("unified_bernoulli", {"B": 2.0}),
+])
+def test_a_bound_rejects_a_parameter_it_does_not_read(bound_id, params):
+    prof = homoskedastic_rows(np.array([1.0, 0.5]), 3)
+    with pytest.raises(ParameterError, match=repr(next(iter(params)))):
+        BOUNDS[bound_id](prof, params)
+    assert params  # the caller's dict is left as it was
+
+
+def test_rate_sweep_evaluates_the_bound_before_the_replicates():
+    """A bound parameter typo stops the sweep before its first replicate: the
+    model here would fail its profile check as soon as a replicate ran."""
+    prof = VarianceProfile(np.full((2, 2), 0.5))
+    mismatched = Bernoulli(theta=np.full((3, 3), 0.5))
+    with pytest.raises(ParameterError, match="eps_1"):
+        rate_sweep([("only", prof)], mismatched, 2, "gaussian", 1, bound_params={"eps_1": 5.0})
+
+
+@pytest.mark.parametrize("sigma, bound_id, bound_params", [
+    (1e200, "structured_rows", {}),  # mean inf, std_err nan, bound inf
+    (0.5, "gaussian", {"eps1": 1e308}),  # bound inf
+])
+def test_rate_sweep_rejects_a_row_that_is_not_finite(sigma, bound_id, bound_params):
+    prof = homoskedastic_rows(np.full(2, sigma), 2)
+    with pytest.raises(NumericalError, match="not a finite number"):
+        rate_sweep([("big", prof)], Gaussian(), 2, bound_id, 1, bound_params=bound_params)
 
 
 def test_rate_sweep_single_point_and_csv_determinism():

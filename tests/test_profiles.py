@@ -16,7 +16,7 @@ from hetwishart import (
     profile_to_json,
     summarize,
 )
-from hetwishart.profiles import _finite
+from hetwishart.profiles import _finite, _integer, _Table
 
 
 def test_summarize_all_ones_4x9():
@@ -218,14 +218,15 @@ def test_json_generator_forms():
         profile_from_json('{"kind": "explicit", "sigma": [[NaN]]}')
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, "x", None, 10**400, [0.5]])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, "x", None, 10**400, [0.5],
+                                   "0.5", True, {"v": 0.5}])
 def test_finite_rejects_what_is_not_one_finite_number_in_range(value):
     with pytest.raises(ParameterError):
         _finite(value, "v", 0.0)
 
 
 def test_finite_converts_and_checks_the_range_and_shape():
-    assert _finite("0.5", "v", 0.0, 1.0) == 0.5
+    assert _finite(1, "v", 0.0, 1.0) == 1.0 and type(_finite(1, "v")) is float
     assert type(_finite(np.float64(2.0), "v")) is float
     assert _finite(0.0, "v", 0.0) == 0.0
     with pytest.raises(ParameterError, match=r"\(0, 2\]"):
@@ -234,3 +235,23 @@ def test_finite_converts_and_checks_the_range_and_shape():
     for bad in ([], [[0.5]], [0.5, math.nan]):
         with pytest.raises(ParameterError):
             _finite(bad, "v", 0.0, ndim=1)
+
+
+def test_integer_is_exact_and_not_a_bool():
+    assert _integer(2**64 + 1, "seed") == 2**64 + 1  # above 2^53: never through float
+    assert type(_integer(np.int64(3), "v")) is int and _integer(3.0, "v", 1) == 3
+    assert type(_integer(np.float64(4.0), "v")) is int
+    for bad in (2.5, True, np.bool_(True), "3", None, math.nan, math.inf, [3]):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            _integer(bad, "v")
+    with pytest.raises(ParameterError, match=r"v must be >= 1, got 0"):
+        _integer(0, "v", 1)
+
+
+def test_table_lookup_of_an_unknown_or_unhashable_name():
+    table = _Table("thing", {"b": 2, "a": 1})
+    assert table["a"] == 1 and dict(table) == {"a": 1, "b": 2}
+    for name in ("c", ["a"], {"a": 1}, None, 1):
+        with pytest.raises(ParameterError) as err:
+            table[name]
+        assert str(err.value) == f"unknown thing {name!r}; expected one of ['a', 'b']"
