@@ -4,11 +4,12 @@ Subcommands: profile, bound, simulate, oracle, sweep, cluster.  Machine
 readable output is written atomically (temp file + rename); a short human
 summary goes to stdout.  All randomness flows from an explicit seed; there is
 no wall-clock fallback.  Exit codes: 0 success, 2 usage, 3 validation,
-4 size guard, 5 numerical failure.  Every value that comes in, from a flag or
-a JSON file, follows the rule of its kind, or the run exits 3: a number is a
-finite JSON number in range (not a string or a boolean), an integer is exact
-and at least its least value, and a name is in its table.  Every number that
-goes out is finite, or the run exits 5.
+4 size guard (a guard, or an allocation the machine refuses), 5 numerical
+failure.  Every value that comes in, from a flag or a JSON file, follows the
+rule of its kind, or the run exits 3: a number is a finite JSON number in
+range (not a string or a boolean), an integer is exact and at least its least
+value, and a name is in its table.  Every number that goes out is finite, or
+the run exits 5.
 """
 
 from __future__ import annotations
@@ -416,8 +417,9 @@ def main(argv=None) -> int:
     except (ParameterError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SizeGuardError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
+    except (SizeGuardError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation the machine refused
+        print(f"size guard: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except (NumericalError, np.linalg.LinAlgError, OverflowError) as exc:
         # a float power's OverflowError carries (errno, text): print the text

@@ -12,8 +12,8 @@ where a cycle is u_1 -> v_1 -> u_2 -> ... -> u_q -> v_q -> u_1, alpha_ij
 counts steps visiting edge (i, j) exactly once, beta_ij counts back-and-forth
 steps u_k = u_{k+1}, and G is standard normal.  Everything here evaluates that
 expansion exactly: Gaussian moments in exact integer arithmetic, cycles grouped
-by canonical shape and summed over their labelings in numpy blocks, sums by
-compensated (exactly rounded) summation.
+by canonical shape, found by one pruned depth-first walk, and summed over their
+labelings in numpy blocks, sums by compensated (exactly rounded) summation.
 
 The comparison checks at the bottom verify, at desk scale, the inequalities
 this machinery is used to prove: the homoskedastic comparison, variance
@@ -154,59 +154,61 @@ def _guard(count: int, work: str) -> int:
 #                             prod_k sigma_{u_k,v_k} sigma_{u_{k+1},v_k},
 #
 # and for the all-ones profile the inner sum is the count (p1)_L (p2)_R.
+# M is zero when an edge is defective (odd alpha, or (alpha, beta) = (0, 1)).
+# A step changes at most two edges, so one depth-first walk, run after the guard,
+# cuts every prefix with more defective edges than twice the steps left.
 
 _BLOCK = 1 << 14  # labelings per numpy block in the general-profile route
 
 
-def _growth_strings(q: int, blocks: int) -> list[tuple[int, ...]]:
-    """Restricted-growth strings of length q (s_0 = 0, s_k <= max(s_<k) + 1)
-    with at most ``blocks`` blocks: one per set partition of the q steps."""
-    strings = [(0,)]
-    for _ in range(q - 1):
-        strings = [s + (x,) for s in strings for x in range(min(max(s) + 2, blocks))]
-    return strings
-
-
 def _growth_string_count(q: int, blocks: int) -> int:
-    """len(_growth_strings(q, blocks)) = sum_{k <= blocks} S(q, k), by the
-    Stirling recurrence S(n+1, k) = k S(n, k) + S(n, k-1)."""
+    """sum_{k <= blocks} S(q, k) by S(n+1, k) = k S(n, k) + S(n, k-1): the guard's
+    bound on the restricted-growth strings u or v of length q the walk can reach.
+    Refused as soon as it passes ENUMERATION_GUARD; one block has one string."""
     by_blocks = [0, 1]
-    for _ in range(q - 1):
+    for _ in range(q - 1 if blocks > 1 else 0):
         by_blocks = [k * s + s_prev for k, (s, s_prev)
                      in enumerate(zip(by_blocks + [0], [0] + by_blocks))][: blocks + 1]
+        if sum(by_blocks) > ENUMERATION_GUARD:
+            raise SizeGuardError(f"shape pairs exceed the guard {ENUMERATION_GUARD}, as strings "
+                                 f"of length {q} with at most {blocks} blocks alone do")
     return sum(by_blocks)
-
-
-def _moment_product(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """prod over visited edges of gaussian_moment(alpha, beta): a step with
-    u_k = u_{k+1} is one back-and-forth visit (beta) of (u_k, v_k), any other
-    step one single visit (alpha) of each of (u_k, v_k) and (u_{k+1}, v_k)."""
-    q = len(u)
-    counts: dict[tuple[int, int], list[int]] = {}
-    for k in range(q):
-        here, there = u[k], u[(k + 1) % q]
-        if here == there:
-            counts.setdefault((here, v[k]), [0, 0])[1] += 1
-        else:
-            counts.setdefault((here, v[k]), [0, 0])[0] += 1
-            counts.setdefault((there, v[k]), [0, 0])[0] += 1
-    return math.prod(gaussian_moment(alpha, beta) for alpha, beta in counts.values())
 
 
 @lru_cache(maxsize=None)
 def _shapes(q: int, blocks1: int, blocks2: int, deleted: bool) -> tuple:
     """Shapes (u, v, L, R, M) whose moment product M is non-zero; ``deleted``
-    keeps those with u_k != u_{k+1} at every step.  A restricted-growth string
-    is its own canonical form, so u has L = max(u) + 1 blocks."""
-    shapes = []
-    rights = _growth_strings(q, blocks2)
-    for u in _growth_strings(q, blocks1):
-        if deleted and any(u[k] == u[(k + 1) % q] for k in range(q)):
-            continue
-        for v in rights:
-            m = _moment_product(u, v)
-            if m:
-                shapes.append((u, v, max(u) + 1, max(v) + 1, m))
+    keeps those with u_k != u_{k+1} at every step.  The walk grows the
+    restricted-growth strings u and v (each its own canonical form, and
+    u_q = u_0 = 0) a step u_k -> v_k -> u_{k+1} at a time."""
+    shapes, u, v = [], [0] * (q + 1), [0] * q
+    edges: dict[tuple[int, int], list[int]] = {}  # edge -> [alpha, beta]
+
+    def walk(k: int, n_left: int, n_right: int) -> None:
+        # gaussian_moment refuses an edge past MAX_GAUSSIAN_ORDER, which bounds the depth
+        if sum(gaussian_moment(*counts) == 0 for counts in edges.values()) > 2 * (q - k):
+            return
+        if k == q:
+            m = math.prod(gaussian_moment(*counts) for counts in edges.values())
+            shapes.append((tuple(u[:q]), tuple(v), n_left, n_right, m))
+            return
+        for y in range(min(n_right + 1, blocks2)):
+            for x in range(min(n_left + 1, blocks1)) if k < q - 1 else (0,):
+                if deleted and x == u[k]:
+                    continue
+                v[k], u[k + 1] = y, x
+                # a back-and-forth step adds a beta to (u_k, v_k), any other
+                # step an alpha to each of (u_k, v_k) and (u_{k+1}, v_k)
+                visits = [(u[k], 1)] if x == u[k] else [(u[k], 0), (x, 0)]
+                for i, kind in visits:
+                    edges.setdefault((i, y), [0, 0])[kind] += 1
+                walk(k + 1, max(n_left, x + 1), max(n_right, y + 1))
+                for i, kind in visits:  # undo; an edge left unvisited drops out of the scan
+                    edges[i, y][kind] -= 1
+                    if edges[i, y] == [0, 0]:
+                        del edges[i, y]
+
+    walk(0, 1, 0)
     return tuple(shapes)
 
 
@@ -252,7 +254,8 @@ def _trace_moment(q: int, p1: int, p2: int, sigma: np.ndarray | None = None,
     ``sigma`` None (or all ones) is the all-ones p1 x p2 profile, whose moment
     is the exact integer sum of M (p1)_L (p2)_R.  Otherwise each shape's
     labelings go into one fsum, which M multiplies, and an outer fsum adds the
-    shapes.  The guard counts shape pairs visited plus labelings summed.
+    shapes.  The guard bounds the string pairs the walk can reach plus the
+    labelings summed.
     """
     q = _integer(q, "q", 1)
     pairs = _guard(_growth_string_count(q, p1) * _growth_string_count(q, p2), "shape pairs")
@@ -318,9 +321,9 @@ def check_gaussian_comparison(profile: VarianceProfile, q: int) -> ComparisonRes
     m2 = _ceil_tol(float(var.sum(axis=1).max())) + q - 1
     m1 = max(m1, 1)
     m2 = max(m2, 1)
-    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(m1, m2, q)
     lhs = exact_trace_moment(profile, q)
     rhs = min(profile.p1 / m1, profile.p2 / m2) * _trace_moment(q, m1, m2)
+    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(m1, m2, q)
     return ComparisonResult(lhs, rhs, lhs <= rhs * (1.0 + _COMPARISON_SLACK), n_cycles)
 
 
@@ -341,9 +344,9 @@ def check_variance_contraction(profile: VarianceProfile, q: int) -> ComparisonRe
     the exact oracle).
     """
     merged = merge_last_rows(profile)
-    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(merged.p1, merged.p2, q)
     lhs = exact_trace_moment(profile, q)
     rhs = exact_trace_moment(merged, q)
+    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(merged.p1, merged.p2, q)
     return ComparisonResult(lhs, rhs, lhs <= rhs * (1.0 + _COMPARISON_SLACK), n_cycles)
 
 
@@ -360,9 +363,9 @@ def check_diagonal_deletion(profile: VarianceProfile, q: int) -> ComparisonResul
         raise ParameterError("diagonal-deletion comparison requires sigma_* <= 1")
     col_bounds = profile.sigma.max(axis=0)
     m = max(1, _ceil_tol(float(np.sum(col_bounds**4))) + q - 1)
-    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(profile.p1, m, q)
     lhs = exact_deleted_diagonal_trace_moment(profile, q)
     rhs = _trace_moment(q, profile.p1, m, deleted=True)
+    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(profile.p1, m, q)
     return ComparisonResult(lhs, rhs, lhs <= rhs * (1.0 + _COMPARISON_SLACK), n_cycles)
 
 

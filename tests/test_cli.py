@@ -117,8 +117,39 @@ def test_oracle_checks(tmp_path, capsys):
 
 
 def test_oracle_guard_exit_4(tmp_path, capsys):
-    path = write_profile(tmp_path, np.full((40, 40), 0.5))
-    assert main(["oracle", "--check", "comparison", "--profile", path, "--q", "5"]) == 4
+    # each refusal is one short line, printed before the oracle builds a
+    # count, a cycle of q steps or a cycle count of q digits
+    cases = [
+        ("comparison", np.full((40, 40), 0.5), 5),
+        ("trace", [[1.0, 0.5], [0.25, 1.0]], 3000),
+        ("trace", [[1.0, 0.5], [0.25, 1.0]], 30000),
+        ("comparison", [[1.0, 0.5], [0.25, 1.0]], 300000),
+        ("trace", [[1.0]], 30000),
+    ]
+    for check, sigma, q in cases:
+        path = write_profile(tmp_path, sigma)
+        assert main(["oracle", "--check", check, "--profile", path, "--q", str(q)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("size guard: ") and len(err[0]) < 200, err
+
+
+@pytest.mark.parametrize("case", ["sweep_random_uniform", "profile_homoskedastic_rows"])
+def test_refused_allocation_exits_4(tmp_path, capsys, case):
+    # both allocations exceed 2^47 bytes, more than any host's address space
+    if case == "sweep_random_uniform":
+        dims = {key: 10**8 for key in ("p1_min", "p1_max", "p2_min", "p2_max")}
+        cfg = {"family": {"kind": "random_uniform", "count": 1, **dims}, "reps": 2}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["sweep", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "out.csv")]
+    else:
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"kind": "homoskedastic_rows", "sigmas": [1.0, 0.5],
+                                    "other_dim": 10**15}))
+        argv = ["profile", "--in", str(path)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("size guard: "), err
 
 
 def test_usage_error_exit_2():

@@ -24,7 +24,7 @@ from hetwishart import (
     homoskedastic_rows,
     subgaussian_moment_envelope,
 )
-from hetwishart.moment_oracle import double_factorial
+from hetwishart.moment_oracle import _shapes, double_factorial
 
 
 def quad_gaussian_moment(alpha, beta):
@@ -227,7 +227,8 @@ def test_shape_grouped_evaluation_matches_exactly_on_dyadic_grid():
 
 def test_shape_grouped_evaluation_matches_on_random_profiles():
     rng = np.random.default_rng(11)
-    for p1, p2, q in product((1, 2, 3), (1, 2, 3), (1, 2, 3, 4)):
+    deep = [(p1, p2, q) for (p1, p2), q in product([(2, 2), (2, 3), (3, 2)], (5, 6, 7))]
+    for p1, p2, q in [*product((1, 2, 3), (1, 2, 3), (1, 2, 3, 4)), *deep]:
         prof = VarianceProfile(rng.uniform(0, 1, size=(p1, p2)))
         for deleted, engine in ((False, exact_trace_moment), (True, exact_deleted_diagonal_trace_moment)):
             want = _per_cycle_moment(prof, q, deleted)
@@ -252,8 +253,18 @@ def test_all_ones_moments_at_q5_and_q6():
     ones = VarianceProfile(np.ones((50, 50)))
     assert exact_trace_moment(ones, 5) == 105559120000
     assert exact_trace_moment(ones, 6) == 13667853620000
+    assert exact_trace_moment(ones, 7) == 1721866212760000
+    # above 2^53, but a multiple of 2^6 and so still exact as a float
+    assert exact_trace_moment(ones, 8) == 228682609571360000
     assert exact_deleted_diagonal_trace_moment(ones, 5) == 89152560000
     assert exact_deleted_diagonal_trace_moment(ones, 6) == 11335390500000
+
+
+def test_walk_keeps_the_pinned_shape_counts():
+    # shapes with a non-zero moment product, with and without the diagonal
+    kept = {False: [0, 2, 5, 27, 157, 1126, 9333], True: [0, 1, 1, 9, 31, 237, 1555]}
+    for deleted, counts in kept.items():
+        assert [len(_shapes(q, q, q, deleted)) for q in range(1, 8)] == counts
 
 
 def test_enumeration_guard_names_count():
