@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -24,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, bounds, experiments, moment_oracle, profiles, samplers
+from . import __version__, bounds, moment_oracle, profiles, samplers
 from .errors import ContractError, NumericalError, ParameterError, SizeGuardError
 
 _SALT_FAMILY = 4 << 32
@@ -121,6 +120,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import experiments
+
     cfg = _load_config(args)
     seed = _integer_setting(args, cfg, "seed")
     threads = _integer_setting(args, cfg, "threads", 1)
@@ -261,6 +262,10 @@ def _resolve_family(family: dict, master_seed: int) -> _NamedProfiles:
 
 
 def cmd_sweep(args) -> int:
+    import hashlib
+
+    from . import experiments
+
     cfg = _load_config(args)
     seed = _integer_setting(args, cfg, "seed")
     threads = _integer_setting(args, cfg, "threads", 1)
@@ -303,6 +308,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    from . import experiments
+
     cfg = _load_config(args)
     seed = _integer_setting(args, cfg, "seed")
     threads = _integer_setting(args, cfg, "threads", 1)

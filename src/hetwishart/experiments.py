@@ -16,7 +16,6 @@ import csv
 import functools
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
@@ -79,6 +78,8 @@ def _run_replicates(fn: Callable[[int], float], n_reps: int, threads: int) -> np
             # sweep to p1 = 3000, x86_64 glibc.
             values = [fn(r) for r in range(n_reps)]
         else:
+            from concurrent.futures import ThreadPoolExecutor
+
             errors = functools.partial(np.seterr, **np.geterr())
             with ThreadPoolExecutor(threads, initializer=errors) as pool:
                 values = list(pool.map(fn, range(n_reps)))

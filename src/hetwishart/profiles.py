@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -48,6 +49,20 @@ def _ceil_tol(x: float) -> int:
     return int(math.ceil(x * (1.0 - _REL_SLACK) - _REL_SLACK))
 
 
+def _holds_bool(value) -> bool:
+    """Whether a list or tuple holds a bool at any depth.  numpy reads a bool
+    among numbers as 1.0 or 0.0, so list input is scanned, one level of
+    nesting at a time; an ndarray is not."""
+    level = [value]
+    while True:
+        kinds = set(map(type, level))
+        if bool in kinds:
+            return True
+        if not kinds & {list, tuple}:
+            return False
+        level = list(chain.from_iterable(v for v in level if type(v) in (list, tuple)))
+
+
 def _finite(value, what: str, low: float = -math.inf, high: float = math.inf, *,
             open_low: bool = False, ndim: int = 0):
     """The one check for numbers coming in: ``value`` as a float, or as a
@@ -61,7 +76,7 @@ def _finite(value, what: str, low: float = -math.inf, high: float = math.inf, *,
         arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{what} must be numeric: {exc}") from None
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ParameterError(f"{what} must be numeric{got}")
     arr = arr.astype(float, copy=False)
     if arr.ndim != ndim or arr.size == 0:

@@ -562,21 +562,14 @@ FLOAT_FIELDS = (
     "sweep_grid_sigma_max",
 )
 FLAG_TEXT_FIELDS = (*FLAG_FIELDS, "cluster_sigma_const", "cluster_lambdas")
-# fields whose value sits in an array beside other numbers: numpy reads a
-# boolean among numbers as 1.0 or 0.0, so ``true`` there still passes
-ARRAY_FIELDS = ("cluster_config_sigmas", "profile_sigma",
-                "profile_rows_sigmas", "bound_profile_sigma", "simulate_profile_sigma",
-                "oracle_profile_sigma", "simulate_bernoulli_theta")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-320", *NOT_NUMBERS])
 @pytest.mark.parametrize("field", FLOAT_FIELDS)
-def test_every_float_field_keeps_the_finite_rule(request, tmp_path, capsys, field, value):
+def test_every_float_field_keeps_the_finite_rule(tmp_path, capsys, field, value):
     """A number that comes in is a finite JSON number in range, or the run
     exits 3; a number that goes out is finite, or the run exits 5.  No input
     raises."""
-    if value == "true" and field in ARRAY_FIELDS:
-        request.applymarker(pytest.mark.xfail(strict=True, reason="true among numbers reads as 1.0"))
     try:
         code = main(_float_field_argv(tmp_path, field, value))
     except SystemExit as exc:  # argparse rejects the text of a flag
@@ -768,6 +761,57 @@ def test_cli_runs_without_loading_scipy(tmp_path, case):
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argv],
                           capture_output=True, text=True, env=env, check=True)
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import numpy
+else:
+    from hetwishart.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --version
+            code = exc.code
+    assert code == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+# modules that only simulate, sweep and cluster need
+_RUN_ONLY_MODULES = {"hetwishart.experiments", "hetwishart.spectral", "concurrent.futures",
+                     "hashlib", "numpy.random"}
+
+
+def _modules_loaded_beyond_numpy(argv) -> set[str]:
+    """The modules a CLI run in a fresh process loads that a bare ``import
+    numpy`` in the same environment does not."""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+
+    def loaded(args):
+        proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(args)],
+                              capture_output=True, text=True, env=env, check=True)
+        return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+    return loaded(argv) - loaded(None)
+
+
+@pytest.mark.parametrize("case", ["oracle", "profile", "version"])
+def test_oracle_profile_and_version_load_no_run_modules(tmp_path, case):
+    """``oracle``, ``profile`` and ``--version`` import neither the Monte
+    Carlo stack, the pool, hashlib nor numpy's random module."""
+    path = write_profile(tmp_path, [[1.0, 0.5], [0.25, 1.0]])
+    argv = {"oracle": ["oracle", "--check", "trace", "--profile", path, "--q", "2"],
+            "profile": ["profile", "--in", path],
+            "version": ["--version"]}[case]
+    assert _modules_loaded_beyond_numpy(argv) & _RUN_ONLY_MODULES == set()
+
+
+def test_cluster_on_one_thread_loads_no_pool(tmp_path):
+    argv = ["cluster", "--n", "20", "--p", "10", "--reps", "2", "--lambdas", "1.0",
+            "--seed", "1", "--threads", "1"]
+    assert "concurrent.futures" not in _modules_loaded_beyond_numpy(argv)
 
 
 def test_simulate_on_the_lanczos_route_is_thread_independent(tmp_path, capsys):

@@ -237,6 +237,19 @@ def test_finite_converts_and_checks_the_range_and_shape():
             _finite(bad, "v", 0.0, ndim=1)
 
 
+@pytest.mark.parametrize("value,ndim", [([0.5, True], 1), ((False, 0.5), 1), ([[0.5, 1], [0.5, True]], 2),
+                                        ([[0.25, 0.5], (0.5, False)], 2), ([1, True], 1)])
+def test_finite_rejects_a_bool_among_numbers(value, ndim):
+    with pytest.raises(ParameterError, match="^v must be numeric$"):
+        _finite(value, "v", 0.0, ndim=ndim)
+
+
+def test_finite_does_not_scan_an_ndarray():
+    # numpy has already read the bool as 1.0: the array is the caller's own
+    assert np.array_equal(_finite(np.array([0.5, True]), "v", ndim=1), [0.5, 1.0])
+    assert np.array_equal(_finite([np.array([0.5, True])], "v", ndim=2), [[0.5, 1.0]])
+
+
 def test_integer_is_exact_and_not_a_bool():
     assert _integer(2**64 + 1, "seed") == 2**64 + 1  # above 2^53: never through float
     assert type(_integer(np.int64(3), "v")) is int and _integer(3.0, "v", 1) == 3
