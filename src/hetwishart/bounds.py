@@ -266,7 +266,7 @@ def _structured(kind: str):
 
     def rate(profile: VarianceProfile, params: dict) -> BoundReport:
         sigma = profile.sigma if kind == "rows" else profile.sigma.T
-        if not np.array_equal(sigma, np.tile(sigma[:, :1], (1, sigma.shape[1]))):
+        if not (sigma == sigma[:, :1]).all():
             raise ParameterError(f"profile is not {kind}-homoskedastic")
         return structured_rates(kind, sigma[:, 0], sigma.shape[1])
 

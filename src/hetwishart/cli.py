@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def cmd_simulate(args) -> int:
     )
     est = experiments.estimate_concentration(prof, model, reps, seed, threads)
     resolved = {
-        "profile": json.loads(profiles.profile_to_json(prof)),
+        "profile": profiles._profile_payload(prof),
         "model": samplers.model_to_json_dict(model),
         "reps": reps,
         "seed": seed,
@@ -198,10 +199,10 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-_NamedProfiles = list[tuple[str, profiles.VarianceProfile]]
+_NamedProfile = tuple[str, profiles.VarianceProfile]
 
 
-def _listed_profiles(family: dict, family_seed: int) -> _NamedProfiles:
+def _listed_profiles(family: dict, family_seed: int) -> list[_NamedProfile]:
     out = []
     for entry in family["profiles"]:
         prof = profiles._profile_from_payload(entry["profile"])
@@ -209,7 +210,7 @@ def _listed_profiles(family: dict, family_seed: int) -> _NamedProfiles:
     return out
 
 
-def _random_uniform_profiles(family: dict, family_seed: int) -> _NamedProfiles:
+def _random_uniform_profiles(family: dict, family_seed: int) -> list[_NamedProfile]:
     count = profiles._integer(family["count"], "count", 0)
     p1_lo, p2_lo = (profiles._integer(family.get(key, 2), key, 1) for key in ("p1_min", "p2_min"))
     p1_hi, p2_hi = (profiles._integer(family[key], key, 1) for key in ("p1_max", "p2_max"))
@@ -227,25 +228,32 @@ def _random_uniform_profiles(family: dict, family_seed: int) -> _NamedProfiles:
 
 def _homoskedastic_grid(rows: bool):
     """Builder of one homoskedastic profile per grid dimension, named
-    rows{p1} (over "p1_grid", with "p2") or columns{p2} (over "p2_grid", with "p1")."""
+    rows{p1} (over "p1_grid", with "p2") or columns{p2} (over "p2_grid", with "p1").
+
+    Every field is checked, and every scale vector drawn, when the builder
+    runs; each p1-by-p2 profile is built only when the sweep reaches its
+    row, so a sweep holds one row's profile at a time."""
     label, grid_key, other_key = ("rows", "p1_grid", "p2") if rows else ("columns", "p2_grid", "p1")
 
-    def build(family: dict, family_seed: int) -> _NamedProfiles:
+    def build(family: dict, family_seed: int) -> Iterator[_NamedProfile]:
         make = profiles.homoskedastic_rows if rows else profiles.homoskedastic_columns
         grid = [profiles._integer(v, grid_key, 1) for v in family[grid_key]]
         other = profiles._integer(family[other_key], other_key, 1)
         lo, hi = (profiles._finite(family.get(key, default), key, 0.0)
                   for key, default in (("sigma_min", 0.5), ("sigma_max", 1.5)))
-        out = []
-        for k, dim in enumerate(grid):
-            rng = samplers.generator(samplers.SampleSeed(family_seed, k))
-            out.append((f"{label}{dim}", make(rng.uniform(lo, hi, size=dim), other)))
-        return out
+        scales = [(f"{label}{dim}",
+                   samplers.generator(samplers.SampleSeed(family_seed, k)).uniform(lo, hi, size=dim))
+                  for k, dim in enumerate(grid)]
+        # numpy's own limit on an array's bytes, checked before any row runs
+        if max(grid, default=0) * other > sys.maxsize // 8:
+            raise ParameterError(f"{grid_key} entry {max(grid)} with {other_key} = {other} "
+                                 "exceeds numpy's array size limit")
+        return ((name, make(vec, other)) for name, vec in scales)
 
     return build
 
 
-# sweep family "kind" -> builder of the (name, profile) list from the family
+# sweep family "kind" -> builder of the (name, profile) rows from the family
 # object and the family seed
 _FAMILIES = profiles._Table("profile family kind", {
     "list": _listed_profiles,
@@ -255,7 +263,7 @@ _FAMILIES = profiles._Table("profile family kind", {
 })
 
 
-def _resolve_family(family: dict, master_seed: int) -> _NamedProfiles:
+def _resolve_family(family: dict, master_seed: int) -> Iterable[_NamedProfile]:
     if not isinstance(family, dict):
         raise ParameterError(f"sweep family must be a JSON object, got {family!r}")
     return _FAMILIES[family.get("kind")](family, samplers.derive_seed(master_seed, _SALT_FAMILY))

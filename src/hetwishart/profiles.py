@@ -261,10 +261,14 @@ def lower_bound_profile(
     return VarianceProfile(grid)
 
 
+def _profile_payload(profile: VarianceProfile) -> dict:
+    """The explicit JSON form as a dict of Python floats."""
+    return {"kind": "explicit", "sigma": profile.sigma.tolist()}
+
+
 def profile_to_json(profile: VarianceProfile) -> str:
     """Serialize to the explicit JSON form; floats round-trip bit-exactly."""
-    payload = {"kind": "explicit", "sigma": [[float(x) for x in row] for row in profile.sigma]}
-    return json.dumps(payload)
+    return json.dumps(_profile_payload(profile))
 
 
 def _lower_bound_from_json(payload: dict) -> VarianceProfile:

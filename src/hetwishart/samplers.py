@@ -48,6 +48,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _SQRT3 = math.sqrt(3.0)
+# A blockwise draw (heavy tail, Rademacher) takes a p1-by-p2 stream in row
+# blocks of about this many bytes, so it holds one float grid, not two
+_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,16 @@ def derive_seed(master_seed: int, salt: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _row_blocks(shape: tuple[int, int]):
+    """Slices of consecutive rows of a p1-by-p2 grid, each about
+    ``_BLOCK_BYTES`` of 8-byte entries (one row at the least).  A Philox
+    generator continues its stream from one call to the next, so drawing
+    block after block gives the bits of one whole-grid draw."""
+    p1, p2 = shape
+    step = max(1, _BLOCK_BYTES // (8 * p2))
+    return (slice(start, start + step) for start in range(0, p1, step))
 
 
 def heavy_tail_scale(b: float) -> float:
@@ -139,8 +152,15 @@ class ScaledRademacher(NoiseModel):
     kind = "rademacher"
 
     def draw(self, rng, sigma):
-        signs = rng.integers(0, 2, size=sigma.shape).astype(float) * 2.0 - 1.0
-        return sigma * signs
+        """sigma * (+-1): each row block of 0/1 integers is mapped to signs
+        and scaled into one float output, bitwise the whole-grid formula."""
+        z = np.empty(sigma.shape)
+        for rows in _row_blocks(z.shape):
+            block = z[rows]
+            np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
+            block -= 1.0
+            block *= sigma[rows]
+        return z
 
     def kappa(self):
         return 1.0
@@ -225,20 +245,24 @@ class HeavyTail(NoiseModel):
         object.__setattr__(self, "b", _finite(self.b, "b", 1.0))
 
     def draw(self, rng, sigma):
-        """sigma * (G |H|^(b-1) / heavy_tail_scale(b)), written in place into
-        the draws (into G alone at b = 1): no p1-by-p2 temporary beyond G and
-        H, and bitwise the out-of-place formula."""
+        """sigma * (G |H|^(b-1) / heavy_tail_scale(b)), written into G: G is
+        drawn whole, then H row block by row block, each block finished in
+        place and copied into G.  No p1-by-p2 temporary beyond G, and
+        bitwise the out-of-place formula."""
         g = rng.standard_normal(sigma.shape)
         if self.b == 1.0:
             g *= sigma
             return g
-        h = rng.standard_normal(sigma.shape)
-        np.abs(h, out=h)
-        h **= self.b - 1.0
-        h *= g
-        h /= heavy_tail_scale(self.b)
-        h *= sigma
-        return h
+        scale = heavy_tail_scale(self.b)
+        for rows in _row_blocks(g.shape):
+            h = rng.standard_normal(g[rows].shape)
+            np.abs(h, out=h)
+            h **= self.b - 1.0
+            h *= g[rows]
+            h /= scale
+            h *= sigma[rows]
+            g[rows] = h
+        return g
 
     def kappa(self):
         b = self.b

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -688,6 +689,91 @@ def test_sweep_over_a_homoskedastic_grid(tmp_path, capsys, kind, grid_key, other
     for r, dim in zip(rows, dims):
         p1, p2 = (dim, 4) if label == "rows" else (4, dim)
         assert (int(r[1]), int(r[2])) == (p1, p2)
+
+
+GRID_KINDS = [("homoskedastic_rows_grid", "p1_grid", "p2"),
+              ("homoskedastic_columns_grid", "p2_grid", "p1")]
+
+
+def _count_calls(monkeypatch, module, name, before=None):
+    """Replace module.name by a wrapper that runs ``before`` on each call's
+    arguments; returns a list that gains one entry, the call's index, per
+    call (it keeps no argument alive)."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        if before is not None:
+            before(*args)
+        calls.append(len(calls))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("kind, grid_key, other_key", GRID_KINDS)
+def test_grid_sweep_holds_one_row_profile(tmp_path, capsys, monkeypatch, kind, grid_key, other_key):
+    """A grid row's profile is built when the sweep reaches the row: when
+    row k runs, the profiles of the rows before it are gone."""
+    from hetwishart import experiments
+
+    refs, alive = [], []
+
+    def record(profile, *args):
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(profile))
+
+    _count_calls(monkeypatch, experiments, "estimate_concentration", record)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"family": {"kind": kind, grid_key: [3, 5, 8, 4], other_key: 6},
+                               "reps": 2}))
+    assert main(["sweep", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "o.csv")]) == 0
+    assert alive == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("kind, grid_key, other_key", GRID_KINDS)
+@pytest.mark.parametrize("case", ["sigma_min_above_max", "fractional_last_dim", "zero_other_dim",
+                                  "string_sigma_max", "too_large_for_numpy"])
+def test_grid_sweep_checks_every_field_before_any_replicate(tmp_path, capsys, monkeypatch,
+                                                            kind, grid_key, other_key, case):
+    from hetwishart import experiments
+
+    family = {"kind": kind, grid_key: [3, 4], other_key: 2, **{
+        "sigma_min_above_max": {"sigma_min": 2.0, "sigma_max": 1.0},
+        "fractional_last_dim": {grid_key: [3, 2.5]},
+        "zero_other_dim": {other_key: 0},
+        "string_sigma_max": {"sigma_max": "1.5"},
+        "too_large_for_numpy": {other_key: 2**61},
+    }[case]}
+    replicates = _count_calls(monkeypatch, experiments, "sample")
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"family": family, "reps": 2}))
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 3
+    assert replicates == [] and not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind, grid_key, other_key", GRID_KINDS)
+def test_refused_allocation_in_a_later_grid_row(tmp_path, capsys, monkeypatch, kind, grid_key, other_key):
+    """A grid row whose profile the machine refuses exits 4 after the rows
+    before it ran, and writes nothing."""
+    from hetwishart import experiments, profiles
+
+    make = "homoskedastic_rows" if kind.endswith("rows_grid") else "homoskedastic_columns"
+
+    def refuse_the_last(vec, other):
+        if vec.size == 8:
+            raise MemoryError("Unable to allocate the last row")
+
+    _count_calls(monkeypatch, profiles, make, refuse_the_last)
+    replicates = _count_calls(monkeypatch, experiments, "sample")
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"family": {"kind": kind, grid_key: [3, 5, 8], other_key: 4}, "reps": 2}))
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 4
+    assert len(replicates) == 4 and not out.exists()
+    assert capsys.readouterr().err == "size guard: Unable to allocate the last row\n"
 
 
 PROFILE_KINDS = ("explicit", "homoskedastic_rows", "homoskedastic_columns", "lower_bound")

@@ -201,3 +201,37 @@ def test_sample_golden_values(kind):
     model, expected = GOLDEN_DRAWS[kind]
     Z = sample(VarianceProfile(GOLDEN_SIGMA), model, SampleSeed(2020, 3))
     assert np.array_equal(Z, np.array(expected))
+
+
+def _in_row_blocks(draw, rng, shape, rows):
+    """draw(rng, block shape) over consecutive blocks of ``rows`` rows."""
+    return np.concatenate([draw(rng, (min(rows, shape[0] - start), shape[1]))
+                           for start in range(0, shape[0], rows)])
+
+
+@pytest.mark.parametrize("shape, rows", [((3000, 100), 81), ((3000, 100), 7), ((5, 3), 1)])
+def test_philox_draws_continue_across_row_blocks(shape, rows):
+    """The blockwise draws rest on this: block after block from one Philox
+    generator gives the whole-grid draw, for integers (two to a 64-bit word,
+    so a 1 x 3 block leaves half a word for the next) and for normals."""
+    for draw in (lambda rng, size: rng.integers(0, 2, size=size),
+                 lambda rng, size: rng.standard_normal(size)):
+        whole = draw(generator(SampleSeed(8, 1)), shape)
+        assert np.array_equal(whole, _in_row_blocks(draw, generator(SampleSeed(8, 1)), shape, rows))
+
+
+@pytest.mark.parametrize("shape", [(3000, 100), (5, 3), (2, 9000)])
+def test_blockwise_draws_equal_the_whole_grid_formulas(shape):
+    """The Rademacher and heavy-tail draws, made in row blocks (many, one,
+    and one row each for the 2 x 9000 grid), are bitwise the formulas on
+    whole-grid draws."""
+    sigma = np.random.default_rng(3).uniform(0.0, 2.0, size=shape)
+    profile, seed = VarianceProfile(sigma), SampleSeed(2020, 3)
+    rng = generator(seed)
+    signs = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+    assert np.array_equal(sample(profile, ScaledRademacher(), seed), sigma * signs)
+    for b in (1.5, 2.3):
+        rng = generator(seed)
+        g, h = rng.standard_normal(shape), rng.standard_normal(shape)
+        expected = sigma * (g * np.abs(h) ** (b - 1.0) / heavy_tail_scale(b))
+        assert np.array_equal(sample(profile, HeavyTail(b), seed), expected)

@@ -13,6 +13,7 @@ from hetwishart import (
     NumericalError,
     ParameterError,
     SampleSeed,
+    ScaledRademacher,
     VarianceProfile,
     centered_operator,
     sample,
@@ -394,12 +395,22 @@ def test_generate_mixture_shifts_in_place():
 
 
 def test_heavy_tail_draw_builds_in_place():
-    """A heavy-tail draw holds its two Gaussian draws and nothing larger; at
-    b = 1 it holds its one draw."""
+    """A heavy-tail draw holds its whole G draw and one row block of H, which
+    it finishes in place and copies into G: the peak is near one p1 x p2
+    array, not G and H; at b = 1 it holds its one draw."""
     profile = VarianceProfile(np.ones((3000, 100)))
     Z, peak = _traced_peak(lambda: sample(profile, HeavyTail(1.5), SampleSeed(4, 0)))
-    assert peak <= 2.25 * Z.nbytes
+    assert peak <= 1.25 * Z.nbytes
     Z, peak = _traced_peak(lambda: sample(profile, HeavyTail(1.0), SampleSeed(4, 0)))
+    assert peak <= 1.25 * Z.nbytes
+
+
+def test_rademacher_draw_builds_in_place():
+    """A Rademacher draw maps and scales each row block of its integer draws
+    into one float output: the peak is that output, not the integers, their
+    float copy and the scaled product."""
+    profile = VarianceProfile(np.ones((3000, 100)))
+    Z, peak = _traced_peak(lambda: sample(profile, ScaledRademacher(), SampleSeed(4, 0)))
     assert peak <= 1.25 * Z.nbytes
 
 
