@@ -32,7 +32,6 @@ _EXPORTS = {
         "check_diagonal_deletion", "check_gaussian_comparison", "check_paired_moment",
         "check_variance_contraction", "exact_deleted_diagonal_trace_moment",
         "exact_trace_moment", "gaussian_moment", "heavy_tail_moment",
-        "subgaussian_moment_envelope",
     ),
     "profiles": (
         "ProfileSummary", "VarianceProfile", "homoskedastic_columns", "homoskedastic_rows",

@@ -33,7 +33,6 @@ VERSION_TABLE = f"""hetwishart {__version__}
 constants:
   C1(eps1)       = 10 (1+eps1) sqrt(ceil(1/log(1+eps1)))
   C2(eps1,eps2)  = (1+eps1) ceil(1/log(1+eps1)) (25/eps2 + 24)
-  envelope C     = {moment_oracle.ENVELOPE_CONSTANT}  (sub-Gaussian moment envelope (C kappa)^(alpha+2 beta))
   s_b^2          = 2^(b-1) Gamma(b-1/2) / Gamma(1/2)  (heavy-tail variance normalizer)
 guards:
   gaussian_moment order <= {moment_oracle.MAX_GAUSSIAN_ORDER}; heavy-tail order <= {moment_oracle.MAX_HEAVY_TAIL_ORDER}

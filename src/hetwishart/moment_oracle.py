@@ -37,7 +37,6 @@ __all__ = [
     "MAX_GAUSSIAN_ORDER",
     "MAX_HEAVY_TAIL_ORDER",
     "ENUMERATION_GUARD",
-    "ENVELOPE_CONSTANT",
     "double_factorial",
     "gaussian_moment",
     "heavy_tail_moment",
@@ -49,13 +48,11 @@ __all__ = [
     "check_variance_contraction",
     "check_diagonal_deletion",
     "check_paired_moment",
-    "subgaussian_moment_envelope",
 ]
 
 MAX_GAUSSIAN_ORDER = 64      # guard on alpha + 2*beta for exact integer moments
 MAX_HEAVY_TAIL_ORDER = 40    # guard for the Gamma-based heavy-tail moments
 ENUMERATION_GUARD = 10**8    # max shape pairs plus labelings one trace moment sums
-ENVELOPE_CONSTANT = 3.0      # calibrated constant in the sub-Gaussian moment envelope
 
 _COMPARISON_SLACK = 1e-9     # lhs <= rhs * (1 + slack) absorbs float roundoff
 
@@ -106,7 +103,8 @@ def heavy_tail_moment(alpha: int, beta: int, b: float) -> float:
     For even x, E F^x = (x-1)!! * 2^((b-1)x/2) * Gamma(((b-1)x + 1)/2) / sqrt(pi),
     and the result is the alternating binomial sum over x_j = alpha + 2 beta - 2j.
     F has a stretched-exponential tail with Orlicz exponent 2/b; b = 1 is the
-    Gaussian case and is returned exactly from ``gaussian_moment``.
+    Gaussian case and is returned exactly from ``gaussian_moment``.  A value,
+    or a term of the sum, that overflows a float raises SizeGuardError.
     """
     alpha, beta = _integer(alpha, "alpha", 0), _integer(beta, "beta", 0)
     b = _finite(b, "b", 1.0)
@@ -119,16 +117,21 @@ def heavy_tail_moment(alpha: int, beta: int, b: float) -> float:
         return 0.0
     if b == 1.0:
         return float(gaussian_moment(alpha, beta))
-    if (b - 1.0) * order + 1.0 > 340.0:
-        raise SizeGuardError(f"Gamma argument overflow for b = {b}, alpha + 2*beta = {order}")
     sqrt_pi = math.sqrt(math.pi)
-    terms = []
-    for j in range(beta + 1):
-        x = order - 2 * j
-        exact = (-1) ** j * math.comb(beta, j) * double_factorial(x - 1)
-        scale = 2.0 ** ((b - 1.0) * x / 2.0) * math.gamma(((b - 1.0) * x + 1.0) / 2.0) / sqrt_pi
-        terms.append(exact * scale)
-    return math.fsum(terms)
+    try:
+        terms = []
+        for j in range(beta + 1):
+            x = order - 2 * j
+            exact = (-1) ** j * math.comb(beta, j) * double_factorial(x - 1)
+            scale = 2.0 ** ((b - 1.0) * x / 2.0) * math.gamma(((b - 1.0) * x + 1.0) / 2.0) / sqrt_pi
+            terms.append(exact * scale)
+        if all(map(math.isfinite, terms)):
+            return math.fsum(terms)  # raises OverflowError if the sum overflows
+    except OverflowError:
+        pass
+    raise SizeGuardError(
+        f"heavy-tail moment for b = {b}, alpha + 2*beta = {order} overflows a float"
+    )
 
 
 def cycle_count(p1: int, p2: int, q: int) -> int:
@@ -376,21 +379,8 @@ def check_paired_moment(x1: int, x2: int, x3: int, x4: int, x5: int) -> Comparis
             <= E G^(x1+x2) (G^2-1)^(x3+x4+x5).
     """
     x1, x2, x3, x4, x5 = (_integer(x, f"x{k}", 0) for k, x in enumerate((x1, x2, x3, x4, x5), 1))
-    if x1 + x2 + 2 * (x3 + x4 + x5) > MAX_HEAVY_TAIL_ORDER:
-        raise SizeGuardError("total order exceeds the paired-moment guard")
-    lhs = abs(gaussian_moment(x1 + x5, x3) * gaussian_moment(x2 + x5, x4))
+    # exact integers; the right side's order bounds both left orders, so its
+    # guard (MAX_GAUSSIAN_ORDER) covers the whole check
     rhs = gaussian_moment(x1 + x2, x3 + x4 + x5)
-    return ComparisonResult(float(lhs), float(rhs), lhs <= rhs + 1e-12, 0)
-
-
-def subgaussian_moment_envelope(alpha: int, beta: int, kappa: float) -> float:
-    """Diagnostic envelope (C kappa)^(alpha+2beta) E G^alpha (G^2-1)^beta.
-
-    kappa is the moment-based norm sup_q q^(-1/2) (E|Z|^q)^(1/q) of the
-    standardized entry; any unit-variance variable has kappa >= 1/sqrt(2).
-    C is ENVELOPE_CONSTANT, a calibration, not a proved optimum.
-    """
-    kappa = _finite(kappa, "kappa", 1.0 / math.sqrt(2.0) - 1e-12)
-    if alpha % 2 == 1:
-        return 0.0
-    return (ENVELOPE_CONSTANT * kappa) ** (alpha + 2 * beta) * gaussian_moment(alpha, beta)
+    lhs = abs(gaussian_moment(x1 + x5, x3) * gaussian_moment(x2 + x5, x4))
+    return ComparisonResult(float(lhs), float(rhs), lhs <= rhs, 0)

@@ -94,8 +94,8 @@ def heavy_tail_scale(b: float) -> float:
 @dataclass(frozen=True)
 class NoiseModel:
     """An entry family.  Each subclass draws its entries, reports their
-    variances and kappa, checks the profile it is paired with, and checks
-    its dataclass fields (its JSON params) with ``profiles._finite``."""
+    variances, checks the profile it is paired with, and checks its
+    dataclass fields (its JSON params) with ``profiles._finite``."""
 
     kind: ClassVar[str]
 
@@ -107,17 +107,6 @@ class NoiseModel:
 
     def check(self, profile: VarianceProfile) -> None:
         """Reject a profile this model cannot be paired with."""
-
-    def kappa(self) -> float:
-        """Moment norm of the standardized entry: sup_q q^(-1/2) (E|Z|^q)^(1/q).
-
-        Documented constants: Gaussian sqrt(2/pi) and ScaledRademacher 1 and
-        Bounded sqrt(3)/2 all attain the sup at q = 1.  HeavyTail uses the
-        tail-matched exponent b/2 instead of 1/2 (sup over a dense q grid), and
-        Bernoulli reports the worst entry of the grid.  Any unit-variance
-        variable has kappa >= 1/sqrt(2) (take q = 2).
-        """
-        raise NotImplementedError
 
     def params(self) -> dict:
         return {f.name: np.asarray(getattr(self, f.name), float).tolist() for f in fields(self)}
@@ -143,9 +132,6 @@ class Gaussian(NoiseModel):
         z *= sigma
         return z
 
-    def kappa(self):
-        return math.sqrt(2.0 / math.pi)
-
 
 @dataclass(frozen=True)
 class ScaledRademacher(NoiseModel):
@@ -161,9 +147,6 @@ class ScaledRademacher(NoiseModel):
             block -= 1.0
             block *= sigma[rows]
         return z
-
-    def kappa(self):
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -187,9 +170,6 @@ class Bounded(NoiseModel):
         u *= sigma
         return u
 
-    def kappa(self):
-        return _SQRT3 / 2.0
-
 
 @dataclass(frozen=True, eq=False)
 class Bernoulli(NoiseModel):
@@ -206,10 +186,6 @@ class Bernoulli(NoiseModel):
     def __eq__(self, other):
         return type(other) is Bernoulli and np.array_equal(self.theta, other.theta)
 
-    def implied_profile(self) -> VarianceProfile:
-        """The profile the model actually realizes: sigma_ij = sqrt(theta(1-theta))."""
-        return VarianceProfile(np.sqrt(self.theta * (1.0 - self.theta)))
-
     def check(self, profile):
         if self.theta.shape != profile.shape:
             raise ParameterError(
@@ -224,16 +200,6 @@ class Bernoulli(NoiseModel):
 
     def variances(self, profile):
         return self.theta * (1.0 - self.theta)
-
-    def kappa(self):
-        theta = np.clip(self.theta, 1e-12, 1.0 - 1e-12)
-        sigma = np.sqrt(theta * (1.0 - theta))
-        best = 0.0
-        for q in np.exp(np.linspace(0.0, math.log(400.0), 400)):
-            mom = theta * (1.0 - theta) ** q + (1.0 - theta) * theta**q
-            vals = (mom ** (1.0 / q)) / (sigma * math.sqrt(q))
-            best = max(best, float(vals.max()))
-        return best
 
 
 @dataclass(frozen=True)
@@ -263,21 +229,6 @@ class HeavyTail(NoiseModel):
             h *= sigma[rows]
             g[rows] = h
         return g
-
-    def kappa(self):
-        b = self.b
-        s = heavy_tail_scale(b)
-        qs = np.exp(np.linspace(0.0, math.log(400.0), 2000))
-        # log E|W|^q = log E|G|^q + log E|H|^((b-1)q), both Gamma expressions
-        def log_abs_moment(q):
-            return q / 2.0 * math.log(2.0) + math.lgamma((q + 1.0) / 2.0) - math.lgamma(0.5)
-
-        vals = [
-            math.exp((log_abs_moment(q) + log_abs_moment((b - 1.0) * q)) / q - math.log(s))
-            / q ** (b / 2.0)
-            for q in qs
-        ]
-        return max(vals)
 
 
 MODELS: dict[str, type[NoiseModel]] = _Table("noise model name", {

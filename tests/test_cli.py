@@ -112,6 +112,10 @@ def test_oracle_checks(tmp_path, capsys):
     paired = json.loads(capsys.readouterr().out)
     assert (paired["lhs"], paired["rhs"]) == (1.0, 3.0)
 
+    # the right side, of order 42, is within gaussian_moment's guard of 64
+    assert main(["oracle", "--check", "paired", "--xs", "0,0,0,0,21"]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+
     assert main(["oracle", "--check", "trace", "--profile", path, "--q", "2"]) == 0
     trace = json.loads(capsys.readouterr().out)
     assert trace["value"] > 0
@@ -132,6 +136,13 @@ def test_oracle_guard_exit_4(tmp_path, capsys):
         assert main(["oracle", "--check", check, "--profile", path, "--q", str(q)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("size guard: ") and len(err[0]) < 200, err
+
+
+def test_oracle_paired_guard_names_the_order_and_the_limit(capsys):
+    assert main(["oracle", "--check", "paired", "--xs", "0,0,0,0,33"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("size guard: "), err
+    assert "66" in err[0] and "64" in err[0], err
 
 
 @pytest.mark.parametrize("case", ["sweep_random_uniform", "profile_homoskedastic_rows"])

@@ -22,7 +22,6 @@ from hetwishart import (
     gaussian_moment,
     heavy_tail_moment,
     homoskedastic_rows,
-    subgaussian_moment_envelope,
 )
 from hetwishart.moment_oracle import _shapes, double_factorial
 
@@ -118,6 +117,13 @@ def test_heavy_tail_guards():
         heavy_tail_moment(42, 0, 2.0)
     with pytest.raises(ParameterError):
         heavy_tail_moment(2, 0, 0.5)
+
+
+@pytest.mark.parametrize("alpha,beta,b", [(2, 0, 170.0), (40, 0, 9.4), (20, 10, 9.4)])
+def test_heavy_tail_refuses_a_moment_that_overflows(alpha, beta, b):
+    # each overflows a float; the third's terms overflow with both signs
+    with pytest.raises(SizeGuardError, match=f"b = {b}, alpha \\+ 2\\*beta = {alpha + 2 * beta}"):
+        heavy_tail_moment(alpha, beta, b)
 
 
 # ---------------------------------------------------------------- trace moments
@@ -376,11 +382,3 @@ def test_paired_moment_examples():
 def test_paired_moment_property(xs):
     res = check_paired_moment(*xs)
     assert res.holds
-
-
-def test_subgaussian_envelope():
-    assert subgaussian_moment_envelope(2, 0, 1 / math.sqrt(2)) == pytest.approx(4.5)
-    assert subgaussian_moment_envelope(3, 1, 1.0) == 0.0
-    assert subgaussian_moment_envelope(0, 0, 1.0) == 1.0
-    with pytest.raises(ParameterError):
-        subgaussian_moment_envelope(2, 0, 0.5)

@@ -90,12 +90,6 @@ def test_bernoulli_support_and_dims():
         sample(VarianceProfile(np.zeros((5, 5))), Bernoulli(theta=theta), SampleSeed(8, 0))
 
 
-def test_bernoulli_implied_profile():
-    theta = np.array([[0.5, 0.1]])
-    prof = Bernoulli(theta=theta).implied_profile()
-    assert np.allclose(prof.sigma**2, theta * (1 - theta))
-
-
 def test_heavy_tail_b1_is_bitwise_gaussian():
     prof = VarianceProfile(np.random.default_rng(0).uniform(0, 1, (30, 40)))
     seed = SampleSeed(99, 3)
@@ -133,19 +127,6 @@ def test_independence_smoke():
         a[r], b[r] = Z[0, 0], Z[1, 1]
     cov = float(np.mean(a * b) - a.mean() * b.mean())
     assert abs(cov) <= 5.0 / math.sqrt(n)
-
-
-def test_kappa_documented_constants():
-    assert Gaussian().kappa() == pytest.approx(math.sqrt(2 / math.pi), rel=1e-12)
-    assert ScaledRademacher().kappa() == 1.0
-    assert Bounded(B=2.0).kappa() == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
-    assert HeavyTail(b=1.0).kappa() == pytest.approx(math.sqrt(2 / math.pi), rel=1e-3)
-    # symmetric Bernoulli standardizes to +-1, i.e. a Rademacher variable
-    assert Bernoulli(theta=np.full((2, 2), 0.5)).kappa() == pytest.approx(1.0, rel=1e-6)
-    # the q = 2 floor applies to the psi_2 families (exponent q^(-1/2));
-    # HeavyTail uses the tail-matched exponent q^(-b/2) and can sit lower
-    for model in (Gaussian(), ScaledRademacher(), Bounded(B=5.0)):
-        assert model.kappa() >= 1 / math.sqrt(2) - 1e-9
 
 
 def test_model_json_round_trip():
