@@ -35,7 +35,7 @@ constants:
   C2(eps1,eps2)  = (1+eps1) ceil(1/log(1+eps1)) (25/eps2 + 24)
   s_b^2          = 2^(b-1) Gamma(b-1/2) / Gamma(1/2)  (heavy-tail variance normalizer)
 guards:
-  gaussian_moment order <= {moment_oracle.MAX_GAUSSIAN_ORDER}; heavy-tail order <= {moment_oracle.MAX_HEAVY_TAIL_ORDER}
+  moment order <= {moment_oracle.MAX_GAUSSIAN_ORDER} (gaussian_moment and heavy_tail_moment)
   oracle work <= {moment_oracle.ENUMERATION_GUARD} shape pairs plus labelings per trace moment"""
 
 

@@ -12,7 +12,7 @@ where a cycle is u_1 -> v_1 -> u_2 -> ... -> u_q -> v_q -> u_1, alpha_ij
 counts steps visiting edge (i, j) exactly once, beta_ij counts back-and-forth
 steps u_k = u_{k+1}, and G is standard normal.  Everything here evaluates that
 expansion exactly: Gaussian moments in exact integer arithmetic, cycles grouped
-by canonical shape, found by one pruned depth-first walk, and summed over their
+by edge multiset, found by one pruned depth-first walk, and summed over their
 labelings in numpy blocks, sums by compensated (exactly rounded) summation.
 
 The comparison checks at the bottom verify, at desk scale, the inequalities
@@ -35,7 +35,6 @@ from .profiles import _REL_SLACK, VarianceProfile, _ceil_tol, _finite, _integer
 
 __all__ = [
     "MAX_GAUSSIAN_ORDER",
-    "MAX_HEAVY_TAIL_ORDER",
     "ENUMERATION_GUARD",
     "double_factorial",
     "gaussian_moment",
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 MAX_GAUSSIAN_ORDER = 64      # guard on alpha + 2*beta for exact integer moments
-MAX_HEAVY_TAIL_ORDER = 40    # guard for the Gamma-based heavy-tail moments
 ENUMERATION_GUARD = 10**8    # max shape pairs plus labelings one trace moment sums
 
 _COMPARISON_SLACK = 1e-9     # lhs <= rhs * (1 + slack) absorbs float roundoff
@@ -109,9 +107,9 @@ def heavy_tail_moment(alpha: int, beta: int, b: float) -> float:
     alpha, beta = _integer(alpha, "alpha", 0), _integer(beta, "beta", 0)
     b = _finite(b, "b", 1.0)
     order = alpha + 2 * beta
-    if order > MAX_HEAVY_TAIL_ORDER:
+    if order > MAX_GAUSSIAN_ORDER:  # the exact-integer guard its (x-1)!! terms live under
         raise SizeGuardError(
-            f"alpha + 2*beta = {order} exceeds the heavy-tail guard {MAX_HEAVY_TAIL_ORDER}"
+            f"alpha + 2*beta = {order} exceeds the exact-arithmetic guard {MAX_GAUSSIAN_ORDER}"
         )
     if alpha % 2 == 1:
         return 0.0
@@ -150,16 +148,16 @@ def _guard(count: int, work: str) -> int:
 #
 # A raw cycle is its canonical shape (u, v) -- two restricted-growth strings,
 # u with L <= p1 left blocks and v with R <= p2 right blocks -- composed with
-# one injective labeling of the L left and R right blocks by vertices.  The
-# Gaussian-moment product M of a shape is the same for all its labelings, so
+# one injective labeling of the L left and R right blocks by vertices.  A shape
+# enters only through its edge multiset, the ((i, j), alpha, beta) of its edges:
 #
-#     E tr{(ZZ' - E ZZ')^q} = sum over shapes of M * sum over labelings of
-#                             prod_k sigma_{u_k,v_k} sigma_{u_{k+1},v_k},
+#     E tr{(ZZ' - E ZZ')^q} = sum over edge multisets of M * sum over labelings
+#                             of prod_{(i,j)} sigma_ij^(alpha_ij + 2 beta_ij),
 #
-# and for the all-ones profile the inner sum is the count (p1)_L (p2)_R.
-# M is zero when an edge is defective (odd alpha, or (alpha, beta) = (0, 1)).
-# A step changes at most two edges, so one depth-first walk, run after the guard,
-# cuts every prefix with more defective edges than twice the steps left.
+# M = (its shape count) * prod E G^alpha (G^2-1)^beta, zero when an edge is defective
+# (odd alpha, or (alpha, beta) = (0, 1)); for the all-ones profile the inner sum is
+# (p1)_L (p2)_R.  A step changes at most two edges, so one depth-first walk, run
+# after the guard, cuts every prefix with more defective edges than twice the steps left.
 
 _BLOCK = 1 << 14  # labelings per numpy block in the general-profile route
 
@@ -180,39 +178,38 @@ def _growth_string_count(q: int, blocks: int) -> int:
 
 @lru_cache(maxsize=None)
 def _shapes(q: int, blocks1: int, blocks2: int, deleted: bool) -> tuple:
-    """Shapes (u, v, L, R, M) whose moment product M is non-zero; ``deleted``
-    keeps those with u_k != u_{k+1} at every step.  The walk grows the
-    restricted-growth strings u and v (each its own canonical form, and
-    u_q = u_0 = 0) a step u_k -> v_k -> u_{k+1} at a time."""
-    shapes, u, v = [], [0] * (q + 1), [0] * q
+    """Records (edges, L, R, count), one per edge multiset with a non-zero moment
+    product: ``edges`` sorted ((i, j), alpha, beta), ``count`` its shapes; ``deleted``
+    keeps the shapes with u_k != u_{k+1} at every step.  The walk grows the shape's
+    strings (u_q = u_0 = 0) a step u_k -> v_k -> u_{k+1} at a time."""
+    records: dict[tuple, int] = {}
     edges: dict[tuple[int, int], list[int]] = {}  # edge -> [alpha, beta]
 
-    def walk(k: int, n_left: int, n_right: int) -> None:
+    def walk(k: int, u: int, n_left: int, n_right: int) -> None:
         # gaussian_moment refuses an edge past MAX_GAUSSIAN_ORDER, which bounds the depth
         if sum(gaussian_moment(*counts) == 0 for counts in edges.values()) > 2 * (q - k):
             return
         if k == q:
-            m = math.prod(gaussian_moment(*counts) for counts in edges.values())
-            shapes.append((tuple(u[:q]), tuple(v), n_left, n_right, m))
+            key = (tuple(sorted((e, a, b) for e, (a, b) in edges.items())), n_left, n_right)
+            records[key] = records.get(key, 0) + 1
             return
         for y in range(min(n_right + 1, blocks2)):
             for x in range(min(n_left + 1, blocks1)) if k < q - 1 else (0,):
-                if deleted and x == u[k]:
+                if deleted and x == u:
                     continue
-                v[k], u[k + 1] = y, x
                 # a back-and-forth step adds a beta to (u_k, v_k), any other
                 # step an alpha to each of (u_k, v_k) and (u_{k+1}, v_k)
-                visits = [(u[k], 1)] if x == u[k] else [(u[k], 0), (x, 0)]
+                visits = [(u, 1)] if x == u else [(u, 0), (x, 0)]
                 for i, kind in visits:
                     edges.setdefault((i, y), [0, 0])[kind] += 1
-                walk(k + 1, max(n_left, x + 1), max(n_right, y + 1))
+                walk(k + 1, x, max(n_left, x + 1), max(n_right, y + 1))
                 for i, kind in visits:  # undo; an edge left unvisited drops out of the scan
                     edges[i, y][kind] -= 1
                     if edges[i, y] == [0, 0]:
                         del edges[i, y]
 
-    walk(0, 1, 0)
-    return tuple(shapes)
+    walk(0, 0, 1, 0)
+    return tuple((*key, count) for key, count in records.items())
 
 
 def _labelings(n: int, k: int, index: np.ndarray) -> np.ndarray:
@@ -227,12 +224,13 @@ def _labelings(n: int, k: int, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def _labeled_sum(sigma: np.ndarray, u, v, n_left: int, n_right: int) -> float:
-    """Exactly rounded sum, over the injective labelings of one shape, of
-    prod_k sigma_{u_k,v_k} sigma_{u_{k+1},v_k}, in blocks of _BLOCK labelings."""
+def _labeled_sum(sigma: np.ndarray, edges, n_left: int, n_right: int) -> float:
+    """Exactly rounded sum, over the injective labelings of one edge multiset,
+    of prod_{(i,j)} sigma_{i,j}^(alpha + 2 beta), in blocks of _BLOCK labelings."""
     p1, p2 = sigma.shape
-    q = len(u)
     flat = sigma.ravel()
+    left, right = zip(*(edge for edge, _, _ in edges))
+    powers = [a + 2.0 * b for _, a, b in edges]  # float exponents: power() needs no cast buffer
     rights = math.perm(p2, n_right)
     total = math.perm(p1, n_left) * rights
 
@@ -241,33 +239,30 @@ def _labeled_sum(sigma: np.ndarray, u, v, n_left: int, n_right: int) -> float:
             index = np.arange(start, min(start + _BLOCK, total))
             rows = _labelings(p1, n_left, index // rights) * p2
             cols = _labelings(p2, n_right, index % rights)
-            s = 1.0
-            for k in range(q):
-                col = cols[:, v[k]]
-                s = s * (flat[rows[:, u[k]] + col] * flat[rows[:, u[(k + 1) % q]] + col])
-            yield s.tolist()
+            yield np.prod(flat[rows[:, left] + cols[:, right]] ** powers, axis=1).tolist()
 
     return math.fsum(chain.from_iterable(blocks()))
 
 
 def _trace_moment(q: int, p1: int, p2: int, sigma: np.ndarray | None = None,
                   deleted: bool = False) -> float:
-    """E tr{(ZZ' - E ZZ')^q}, or E tr{(D(ZZ'))^q} when ``deleted``, by shapes.
+    """E tr{(ZZ' - E ZZ')^q}, or E tr{(D(ZZ'))^q} when ``deleted``, by edge multisets.
 
-    ``sigma`` None (or all ones) is the all-ones p1 x p2 profile, whose moment
-    is the exact integer sum of M (p1)_L (p2)_R.  Otherwise each shape's
-    labelings go into one fsum, which M multiplies, and an outer fsum adds the
-    shapes.  The guard bounds the string pairs the walk can reach plus the
-    labelings summed.
+    A record's M is its shape count times its edges' Gaussian moments.  ``sigma``
+    None (or all ones) is the all-ones p1 x p2 profile, whose moment is the exact
+    integer sum of M (p1)_L (p2)_R.  Otherwise each record's labelings go into one
+    fsum, which M multiplies, and an outer fsum adds the records.  The guard bounds
+    the string pairs the walk can reach plus the labelings summed.
     """
     q = _integer(q, "q", 1)
     pairs = _guard(_growth_string_count(q, p1) * _growth_string_count(q, p2), "shape pairs")
-    shapes = _shapes(q, min(p1, q), min(p2, q), deleted)
+    records = [(edges, nl, nr, count * math.prod(gaussian_moment(a, b) for _, a, b in edges))
+               for edges, nl, nr, count in _shapes(q, min(p1, q), min(p2, q), deleted)]
     if sigma is None or (sigma == 1.0).all():
-        return float(sum(m * math.perm(p1, nl) * math.perm(p2, nr) for _, _, nl, nr, m in shapes))
-    labelings = sum(math.perm(p1, nl) * math.perm(p2, nr) for _, _, nl, nr, _ in shapes)
+        return float(sum(m * math.perm(p1, nl) * math.perm(p2, nr) for _, nl, nr, m in records))
+    labelings = sum(math.perm(p1, nl) * math.perm(p2, nr) for _, nl, nr, _ in records)
     _guard(pairs + labelings, "shape pairs plus labelings")
-    return math.fsum(m * _labeled_sum(sigma, u, v, nl, nr) for u, v, nl, nr, m in shapes)
+    return math.fsum(m * _labeled_sum(sigma, edges, nl, nr) for edges, nl, nr, m in records)
 
 
 def exact_trace_moment(profile: VarianceProfile, q: int) -> float:
@@ -305,6 +300,12 @@ class ComparisonResult:
     cycles_enumerated: int
 
 
+def _compared(lhs: float, rhs: float, q: int, *sides: tuple[int, int]) -> ComparisonResult:
+    """lhs <= rhs up to roundoff, covering the (p1 p2)^q cycles of each (p1, p2) side."""
+    return ComparisonResult(lhs, rhs, lhs <= rhs * (1.0 + _COMPARISON_SLACK),
+                            sum(cycle_count(p1, p2, q) for p1, p2 in sides))
+
+
 def check_gaussian_comparison(profile: VarianceProfile, q: int) -> ComparisonResult:
     """Verify the heteroskedastic-vs-standard Wishart trace-moment comparison.
 
@@ -326,8 +327,7 @@ def check_gaussian_comparison(profile: VarianceProfile, q: int) -> ComparisonRes
     m2 = max(m2, 1)
     lhs = exact_trace_moment(profile, q)
     rhs = min(profile.p1 / m1, profile.p2 / m2) * _trace_moment(q, m1, m2)
-    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(m1, m2, q)
-    return ComparisonResult(lhs, rhs, lhs <= rhs * (1.0 + _COMPARISON_SLACK), n_cycles)
+    return _compared(lhs, rhs, q, (profile.p1, profile.p2), (m1, m2))
 
 
 def merge_last_rows(profile: VarianceProfile) -> VarianceProfile:
@@ -349,8 +349,7 @@ def check_variance_contraction(profile: VarianceProfile, q: int) -> ComparisonRe
     merged = merge_last_rows(profile)
     lhs = exact_trace_moment(profile, q)
     rhs = exact_trace_moment(merged, q)
-    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(merged.p1, merged.p2, q)
-    return ComparisonResult(lhs, rhs, lhs <= rhs * (1.0 + _COMPARISON_SLACK), n_cycles)
+    return _compared(lhs, rhs, q, (profile.p1, profile.p2), (merged.p1, merged.p2))
 
 
 def check_diagonal_deletion(profile: VarianceProfile, q: int) -> ComparisonResult:
@@ -368,8 +367,7 @@ def check_diagonal_deletion(profile: VarianceProfile, q: int) -> ComparisonResul
     m = max(1, _ceil_tol(float(np.sum(col_bounds**4))) + q - 1)
     lhs = exact_deleted_diagonal_trace_moment(profile, q)
     rhs = _trace_moment(q, profile.p1, m, deleted=True)
-    n_cycles = cycle_count(profile.p1, profile.p2, q) + cycle_count(profile.p1, m, q)
-    return ComparisonResult(lhs, rhs, lhs <= rhs * (1.0 + _COMPARISON_SLACK), n_cycles)
+    return _compared(lhs, rhs, q, (profile.p1, profile.p2), (profile.p1, m))
 
 
 def check_paired_moment(x1: int, x2: int, x3: int, x4: int, x5: int) -> ComparisonResult:

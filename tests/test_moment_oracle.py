@@ -23,6 +23,7 @@ from hetwishart import (
     heavy_tail_moment,
     homoskedastic_rows,
 )
+from hetwishart import moment_oracle
 from hetwishart.moment_oracle import _shapes, double_factorial
 
 
@@ -113,8 +114,14 @@ def test_heavy_tail_matches_2d_quadrature():
 
 
 def test_heavy_tail_guards():
-    with pytest.raises(SizeGuardError):
-        heavy_tail_moment(42, 0, 2.0)
+    # the order limit is gaussian_moment's exact-integer guard, 64; below it a
+    # moment is refused only when it overflows.  (42, 0, 1.5) is 41!! 2^10.5 10! / sqrt(pi)
+    with pytest.raises(SizeGuardError, match="= 66 exceeds the exact-arithmetic guard 64"):
+        heavy_tail_moment(66, 0, 2.0)
+    assert heavy_tail_moment(42, 0, 1.0) == float(gaussian_moment(42, 0))
+    assert heavy_tail_moment(42, 0, 1.5) == pytest.approx(
+        double_factorial(41) * 2**10.5 * math.factorial(10) / math.sqrt(math.pi), rel=1e-12)
+    assert heavy_tail_moment(42, 0, 2.0) == pytest.approx(1.7195261682828942e50, rel=1e-12)
     with pytest.raises(ParameterError):
         heavy_tail_moment(2, 0, 0.5)
 
@@ -267,15 +274,33 @@ def test_all_ones_moments_at_q5_and_q6():
 
 
 def test_walk_keeps_the_pinned_shape_counts():
-    # shapes with a non-zero moment product, with and without the diagonal
-    kept = {False: [0, 2, 5, 27, 157, 1126, 9333], True: [0, 1, 1, 9, 31, 237, 1555]}
+    # edge multisets with a non-zero moment product, with and without the
+    # diagonal; they group 9333 and 1555 shapes at q = 7
+    kept = {False: [0, 2, 4, 18, 67, 313, 1510], True: [0, 1, 1, 7, 16, 82, 306]}
     for deleted, counts in kept.items():
         assert [len(_shapes(q, q, q, deleted)) for q in range(1, 8)] == counts
+    assert sum(count for *_, count in _shapes(7, 7, 7, False)) == 9333
+    assert sum(count for *_, count in _shapes(7, 7, 7, True)) == 1555
+
+
+def test_deleted_records_are_the_records_without_beta():
+    for q in range(1, 8):
+        for blocks1, blocks2 in product(range(1, q + 1), repeat=2):
+            kept = {r for r in _shapes(q, blocks1, blocks2, False) if all(b == 0 for _, _, b in r[0])}
+            assert set(_shapes(q, blocks1, blocks2, True)) == kept, (q, blocks1, blocks2)
+
+
+def test_general_profile_sums_each_record_once(monkeypatch):
+    calls = []
+    labeled_sum = moment_oracle._labeled_sum
+    monkeypatch.setattr(moment_oracle, "_labeled_sum", lambda *a: calls.append(a) or labeled_sum(*a))
+    exact_trace_moment(VarianceProfile(np.random.default_rng(6).uniform(0, 1, (4, 4))), 6)
+    assert len(calls) == len(_shapes(6, 4, 4, False)) == 294
 
 
 def test_enumeration_guard_names_count():
-    # 52^2 shape pairs plus the (40)_L (40)_R labelings of every kept shape
-    with pytest.raises(SizeGuardError, match="shape pairs plus labelings = 24575370704 "):
+    # 52^2 shape pairs plus the (40)_L (40)_R labelings of every kept record
+    with pytest.raises(SizeGuardError, match="shape pairs plus labelings = 22520601104 "):
         exact_trace_moment(VarianceProfile(np.full((40, 40), 0.5)), 5)
 
 
