@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import math
+import os
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
@@ -68,10 +69,13 @@ def _run_replicates(fn: Callable[[int], float], n_reps: int, threads: int) -> np
     whatever the host's BLAS threading, and the workers do not oversubscribe
     the CPUs with BLAS threads of their own.  Pool workers take the caller's
     numpy floating-point error handling (``np.errstate`` is per thread).
+    The pool has at most one worker per CPU and per replicate, whatever
+    ``threads`` asks for.
     """
     n_reps, threads = _integer(n_reps, "n_reps", 1), _integer(threads, "threads", 1)
+    workers = min(threads, n_reps, os.cpu_count() or 1)
     with _one_blas_thread():
-        if threads == 1:
+        if workers == 1:
             # The calling thread is the one worker.  A pool thread would
             # allocate from its own malloc arena, apart from the memory the
             # caller has freed: 4.7 MB more peak RSS (49.6 -> 54.3 MB) on a
@@ -81,7 +85,7 @@ def _run_replicates(fn: Callable[[int], float], n_reps: int, threads: int) -> np
             from concurrent.futures import ThreadPoolExecutor
 
             errors = functools.partial(np.seterr, **np.geterr())
-            with ThreadPoolExecutor(threads, initializer=errors) as pool:
+            with ThreadPoolExecutor(workers, initializer=errors) as pool:
                 values = list(pool.map(fn, range(n_reps)))
     return np.asarray(values, dtype=float)
 

@@ -12,8 +12,8 @@ where a cycle is u_1 -> v_1 -> u_2 -> ... -> u_q -> v_q -> u_1, alpha_ij
 counts steps visiting edge (i, j) exactly once, beta_ij counts back-and-forth
 steps u_k = u_{k+1}, and G is standard normal.  Everything here evaluates that
 expansion exactly: Gaussian moments in exact integer arithmetic, cycles grouped
-by edge multiset, found by one pruned depth-first walk, and summed over their
-labelings in numpy blocks, sums by compensated (exactly rounded) summation.
+by edge multiset, found by one pruned walk that merges its prefixes, and summed
+over their labelings in numpy blocks, sums by compensated (exactly rounded) summation.
 
 The comparison checks at the bottom verify, at desk scale, the inequalities
 this machinery is used to prove: the homoskedastic comparison, variance
@@ -156,8 +156,8 @@ def _guard(count: int, work: str) -> int:
 #
 # M = (its shape count) * prod E G^alpha (G^2-1)^beta, zero when an edge is defective
 # (odd alpha, or (alpha, beta) = (0, 1)); for the all-ones profile the inner sum is
-# (p1)_L (p2)_R.  A step changes at most two edges, so one depth-first walk, run
-# after the guard, cuts every prefix with more defective edges than twice the steps left.
+# (p1)_L (p2)_R.  A step changes at most two edges, so the walk, run after the guard, recounts
+# defects on those alone and cuts every prefix with more than twice the steps left.
 
 _BLOCK = 1 << 14  # labelings per numpy block in the general-profile route
 
@@ -180,36 +180,36 @@ def _growth_string_count(q: int, blocks: int) -> int:
 def _shapes(q: int, blocks1: int, blocks2: int, deleted: bool) -> tuple:
     """Records (edges, L, R, count), one per edge multiset with a non-zero moment
     product: ``edges`` sorted ((i, j), alpha, beta), ``count`` its shapes; ``deleted``
-    keeps the shapes with u_k != u_{k+1} at every step.  The walk grows the shape's
-    strings (u_q = u_0 = 0) a step u_k -> v_k -> u_{k+1} at a time."""
-    records: dict[tuple, int] = {}
-    edges: dict[tuple[int, int], list[int]] = {}  # edge -> [alpha, beta]
-
-    def walk(k: int, u: int, n_left: int, n_right: int) -> None:
-        # gaussian_moment refuses an edge past MAX_GAUSSIAN_ORDER, which bounds the depth
-        if sum(gaussian_moment(*counts) == 0 for counts in edges.values()) > 2 * (q - k):
-            return
-        if k == q:
-            key = (tuple(sorted((e, a, b) for e, (a, b) in edges.items())), n_left, n_right)
-            records[key] = records.get(key, 0) + 1
-            return
-        for y in range(min(n_right + 1, blocks2)):
-            for x in range(min(n_left + 1, blocks1)) if k < q - 1 else (0,):
-                if deleted and x == u:
-                    continue
-                # a back-and-forth step adds a beta to (u_k, v_k), any other
-                # step an alpha to each of (u_k, v_k) and (u_{k+1}, v_k)
-                visits = [(u, 1)] if x == u else [(u, 0), (x, 0)]
-                for i, kind in visits:
-                    edges.setdefault((i, y), [0, 0])[kind] += 1
-                walk(k + 1, x, max(n_left, x + 1), max(n_right, y + 1))
-                for i, kind in visits:  # undo; an edge left unvisited drops out of the scan
-                    edges[i, y][kind] -= 1
-                    if edges[i, y] == [0, 0]:
-                        del edges[i, y]
-
-    walk(0, 0, 1, 0)
-    return tuple((*key, count) for key, count in records.items())
+    keeps the shapes with u_k != u_{k+1} at every step.  The walk grows the shapes'
+    strings (u_q = u_0 = 0) a step u_k -> v_k -> u_{k+1} at a time, all prefixes at
+    once, merging those that reach one state: they have the same futures."""
+    states = {(0, 1, 0, 0, ()): 1}  # (u_k, L, R, defective edges, edges) -> prefixes
+    for k in range(q):
+        grown: dict[tuple, int] = {}
+        while states:  # popped as the next depth grows, so about one depth is held
+            (u, n_left, n_right, defects, edges), count = states.popitem()
+            counts = {edge[0]: edge for edge in edges}
+            for y in range(min(n_right + 1, blocks2)):
+                for x in range(min(n_left + 1, blocks1)) if k < q - 1 else (0,):
+                    if deleted and x == u:
+                        continue
+                    # a back-and-forth step adds a beta to (u_k, v_k), any other step an
+                    # alpha to each of (u_k, v_k) and (u_{k+1}, v_k); gaussian_moment
+                    # refuses an edge past MAX_GAUSSIAN_ORDER, which bounds the loop
+                    bad, visited = defects, {}
+                    for i in {u, x}:
+                        _, a, b = counts.get((i, y), (None, 0, 0))
+                        bad -= gaussian_moment(a, b) == 0
+                        a, b = (a, b + 1) if x == u else (a + 1, b)
+                        bad += gaussian_moment(a, b) == 0
+                        visited[i, y] = ((i, y), a, b)
+                    if bad <= 2 * (q - k - 1):
+                        key = (x, max(n_left, x + 1), max(n_right, y + 1), bad,
+                               tuple(sorted((counts | visited).values())))
+                        grown[key] = grown.get(key, 0) + count
+        states = grown
+    return tuple((edges, n_left, n_right, count)
+                 for (_, n_left, n_right, _, edges), count in states.items())
 
 
 def _labelings(n: int, k: int, index: np.ndarray) -> np.ndarray:

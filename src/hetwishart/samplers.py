@@ -216,9 +216,6 @@ class HeavyTail(NoiseModel):
         place and copied into G.  No p1-by-p2 temporary beyond G, and
         bitwise the out-of-place formula."""
         g = rng.standard_normal(sigma.shape)
-        if self.b == 1.0:
-            g *= sigma
-            return g
         scale = heavy_tail_scale(self.b)
         for rows in _row_blocks(g.shape):
             h = rng.standard_normal(g[rows].shape)

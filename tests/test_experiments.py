@@ -193,6 +193,25 @@ def test_replicates_run_on_one_blas_thread(threads, bundled_openblas):
         set_threads(initial)
 
 
+def test_run_replicates_starts_at_most_one_worker_per_cpu(monkeypatch):
+    """A huge ``threads`` asks the pool for no more workers than CPUs; the
+    values are those of the one-thread run."""
+    import concurrent.futures
+    import os
+
+    pools = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def recording(max_workers=None, *args, **kwargs):
+        pools.append(max_workers)
+        return real(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    values = experiments._run_replicates(lambda rep: float(rep), 50, 10**6)
+    assert all(workers <= (os.cpu_count() or 1) for workers in pools)
+    assert values.tolist() == experiments._run_replicates(lambda rep: float(rep), 50, 1).tolist()
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_run_replicates_rejects_no_replicates(threads):
     with pytest.raises(ParameterError, match="n_reps"):

@@ -290,6 +290,26 @@ def test_deleted_records_are_the_records_without_beta():
             assert set(_shapes(q, blocks1, blocks2, True)) == kept, (q, blocks1, blocks2)
 
 
+@pytest.mark.parametrize("q, blocks1, blocks2, deleted, records, shapes", [
+    (12, 2, 2, False, 1074, 1980648),
+    (12, 2, 2, True, 6, 1024),
+    (14, 2, 2, False, 2198, 32587026),
+    (9, 3, 3, False, 7973, 450558),
+    (9, 3, 3, True, 189, 18598),
+])
+def test_deep_walks_keep_the_pinned_counts(q, blocks1, blocks2, deleted, records, shapes):
+    # the walk merges prefixes by state, so these take seconds, not minutes
+    kept = _shapes(q, blocks1, blocks2, deleted)
+    assert (len(kept), sum(count for *_, count in kept)) == (records, shapes)
+
+
+def test_walk_is_refused_at_the_gaussian_order_guard():
+    # a 1 x 1 walk only steps back and forth, so its one edge reaches
+    # order 66 at step 33, long before q steps
+    with pytest.raises(SizeGuardError, match="= 66 exceeds the exact-arithmetic guard 64"):
+        exact_trace_moment(VarianceProfile(np.ones((1, 1))), 10**6)
+
+
 def test_general_profile_sums_each_record_once(monkeypatch):
     calls = []
     labeled_sum = moment_oracle._labeled_sum
