@@ -36,7 +36,8 @@ constants:
   s_b^2          = 2^(b-1) Gamma(b-1/2) / Gamma(1/2)  (heavy-tail variance normalizer)
 guards:
   moment order <= {moment_oracle.MAX_GAUSSIAN_ORDER} (gaussian_moment and heavy_tail_moment)
-  oracle work <= {moment_oracle.ENUMERATION_GUARD} shape pairs plus labelings per trace moment"""
+  oracle walk <= {moment_oracle._WALK_GUARD} edge cells of new states per trace moment
+  oracle sum <= {moment_oracle.ENUMERATION_GUARD} labelings per general-profile trace moment"""
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 MAX_GAUSSIAN_ORDER = 64      # guard on alpha + 2*beta for exact integer moments
-ENUMERATION_GUARD = 10**8    # max shape pairs plus labelings one trace moment sums
+ENUMERATION_GUARD = 10**8    # max labelings one general-profile trace moment sums
 
 _COMPARISON_SLACK = 1e-9     # lhs <= rhs * (1 + slack) absorbs float roundoff
 
@@ -137,13 +137,6 @@ def cycle_count(p1: int, p2: int, q: int) -> int:
     return (p1 * p2) ** q
 
 
-def _guard(count: int, work: str) -> int:
-    """Refuse ``count`` units of ``work`` beyond ENUMERATION_GUARD, naming both."""
-    if count > ENUMERATION_GUARD:
-        raise SizeGuardError(f"{work} = {count} exceeds the guard {ENUMERATION_GUARD}")
-    return count
-
-
 # ---------------------------------------------------------------- shape engine
 #
 # A raw cycle is its canonical shape (u, v) -- two restricted-growth strings,
@@ -156,24 +149,13 @@ def _guard(count: int, work: str) -> int:
 #
 # M = (its shape count) * prod E G^alpha (G^2-1)^beta, zero when an edge is defective
 # (odd alpha, or (alpha, beta) = (0, 1)); for the all-ones profile the inner sum is
-# (p1)_L (p2)_R.  A step changes at most two edges, so the walk, run after the guard, recounts
-# defects on those alone and cuts every prefix with more than twice the steps left.
+# (p1)_L (p2)_R.  A step changes at most two edges, so the walk recounts defects on
+# those alone and cuts every prefix with more than twice the steps left.  Its time
+# tracks the edge cells of the states it creates, and its memory those of one depth,
+# so it refuses itself once their total over all depths passes _WALK_GUARD.
 
 _BLOCK = 1 << 14  # labelings per numpy block in the general-profile route
-
-
-def _growth_string_count(q: int, blocks: int) -> int:
-    """sum_{k <= blocks} S(q, k) by S(n+1, k) = k S(n, k) + S(n, k-1): the guard's
-    bound on the restricted-growth strings u or v of length q the walk can reach.
-    Refused as soon as it passes ENUMERATION_GUARD; one block has one string."""
-    by_blocks = [0, 1]
-    for _ in range(q - 1 if blocks > 1 else 0):
-        by_blocks = [k * s + s_prev for k, (s, s_prev)
-                     in enumerate(zip(by_blocks + [0], [0] + by_blocks))][: blocks + 1]
-        if sum(by_blocks) > ENUMERATION_GUARD:
-            raise SizeGuardError(f"shape pairs exceed the guard {ENUMERATION_GUARD}, as strings "
-                                 f"of length {q} with at most {blocks} blocks alone do")
-    return sum(by_blocks)
+_WALK_GUARD = 1 << 19  # edge cells, summed over the new states of every depth
 
 
 @lru_cache(maxsize=None)
@@ -184,6 +166,7 @@ def _shapes(q: int, blocks1: int, blocks2: int, deleted: bool) -> tuple:
     strings (u_q = u_0 = 0) a step u_k -> v_k -> u_{k+1} at a time, all prefixes at
     once, merging those that reach one state: they have the same futures."""
     states = {(0, 1, 0, 0, ()): 1}  # (u_k, L, R, defective edges, edges) -> prefixes
+    cells = 0
     for k in range(q):
         grown: dict[tuple, int] = {}
         while states:  # popped as the next depth grows, so about one depth is held
@@ -204,9 +187,15 @@ def _shapes(q: int, blocks1: int, blocks2: int, deleted: bool) -> tuple:
                         bad += gaussian_moment(a, b) == 0
                         visited[i, y] = ((i, y), a, b)
                     if bad <= 2 * (q - k - 1):
-                        key = (x, max(n_left, x + 1), max(n_right, y + 1), bad,
-                               tuple(sorted((counts | visited).values())))
-                        grown[key] = grown.get(key, 0) + count
+                        grown_edges = tuple(sorted((counts | visited).values()))
+                        key = (x, max(n_left, x + 1), max(n_right, y + 1), bad, grown_edges)
+                        merged = grown.get(key, 0)
+                        if not merged:
+                            cells += len(grown_edges)
+                        grown[key] = merged + count
+            if cells > _WALK_GUARD:
+                raise SizeGuardError(f"walk states at step {k + 1} of q = {q} pass the guard "
+                                     f"of {_WALK_GUARD} edge cells")
         states = grown
     return tuple((edges, n_left, n_right, count)
                  for (_, n_left, n_right, _, edges), count in states.items())
@@ -251,24 +240,24 @@ def _trace_moment(q: int, p1: int, p2: int, sigma: np.ndarray | None = None,
     A record's M is its shape count times its edges' Gaussian moments.  ``sigma``
     None (or all ones) is the all-ones p1 x p2 profile, whose moment is the exact
     integer sum of M (p1)_L (p2)_R.  Otherwise each record's labelings go into one
-    fsum, which M multiplies, and an outer fsum adds the records.  The guard bounds
-    the string pairs the walk can reach plus the labelings summed.
+    fsum, which M multiplies, and an outer fsum adds the records.  The walk guards
+    its own states; ENUMERATION_GUARD bounds the labelings summed.
     """
     q = _integer(q, "q", 1)
-    pairs = _guard(_growth_string_count(q, p1) * _growth_string_count(q, p2), "shape pairs")
     records = [(edges, nl, nr, count * math.prod(gaussian_moment(a, b) for _, a, b in edges))
                for edges, nl, nr, count in _shapes(q, min(p1, q), min(p2, q), deleted)]
     if sigma is None or (sigma == 1.0).all():
         return float(sum(m * math.perm(p1, nl) * math.perm(p2, nr) for _, nl, nr, m in records))
     labelings = sum(math.perm(p1, nl) * math.perm(p2, nr) for _, nl, nr, _ in records)
-    _guard(pairs + labelings, "shape pairs plus labelings")
+    if labelings > ENUMERATION_GUARD:
+        raise SizeGuardError(f"labelings = {labelings} exceeds the guard {ENUMERATION_GUARD}")
     return math.fsum(m * _labeled_sum(sigma, edges, nl, nr) for edges, nl, nr, m in records)
 
 
 def exact_trace_moment(profile: VarianceProfile, q: int) -> float:
     """Exact E tr{(ZZ' - E ZZ')^q} for independent Gaussian entries.
 
-    Sums the bipartite-cycle expansion grouped by canonical shape, with exact
+    Sums the bipartite-cycle expansion grouped by edge multiset, with exact
     integer Gaussian moments and exactly rounded (fsum) sums, so the result is
     independent of summation order.  q = 1 gives exactly 0 (the matrix is
     centered).

@@ -130,6 +130,7 @@ def test_oracle_guard_exit_4(tmp_path, capsys):
         ("trace", [[1.0, 0.5], [0.25, 1.0]], 30000),
         ("comparison", [[1.0, 0.5], [0.25, 1.0]], 300000),
         ("trace", [[1.0]], 30000),
+        ("trace", np.random.default_rng(5).uniform(0, 1, (3, 3)), 10),
     ]
     for check, sigma, q in cases:
         path = write_profile(tmp_path, sigma)

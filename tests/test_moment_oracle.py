@@ -310,6 +310,36 @@ def test_walk_is_refused_at_the_gaussian_order_guard():
         exact_trace_moment(VarianceProfile(np.ones((1, 1))), 10**6)
 
 
+@pytest.mark.parametrize("q, blocks1, blocks2, step", [(10, 3, 3, 8), (9, 4, 3, 7)])
+def test_walk_is_refused_past_its_edge_cell_guard(q, blocks1, blocks2, step):
+    # both create more edge cells (states times edges) than the pinned (9, 3, 3)
+    # walk's 408k or (8, 8, 8)'s 270k
+    guard = f"step {step} of q = {q} pass the guard of {moment_oracle._WALK_GUARD} edge cells"
+    with pytest.raises(SizeGuardError, match=guard):
+        _shapes(q, blocks1, blocks2, False)
+
+
+def _subfactorial(n):
+    value = 1
+    for k in range(1, n + 1):
+        value = k * value + (-1) ** k
+    return value
+
+
+@pytest.mark.parametrize("q", [28, 30, 32])
+@pytest.mark.parametrize("p1, p2", [(1, 2), (2, 1)])
+def test_two_entry_ones_profiles_at_high_order(p1, p2, q):
+    # 1 x 2: ZZ' - E ZZ' = chi2_2 - 2, and E (chi2_2 - 2)^q = 2^q !q.  2 x 1: zz' - I
+    # has eigenvalues chi2_2 - 1 and -1, and E chi2_2^k = 2^k k!.  Deep walks of
+    # few states, well inside the walk's guard
+    if p1 == 1:
+        want = 2**q * _subfactorial(q)
+    else:
+        want = sum(math.comb(q, k) * 2**k * math.factorial(k) * (-1) ** (q - k)
+                   for k in range(q + 1)) + (-1) ** q
+    assert exact_trace_moment(VarianceProfile(np.ones((p1, p2))), q) == float(want)
+
+
 def test_general_profile_sums_each_record_once(monkeypatch):
     calls = []
     labeled_sum = moment_oracle._labeled_sum
@@ -319,8 +349,8 @@ def test_general_profile_sums_each_record_once(monkeypatch):
 
 
 def test_enumeration_guard_names_count():
-    # 52^2 shape pairs plus the (40)_L (40)_R labelings of every kept record
-    with pytest.raises(SizeGuardError, match="shape pairs plus labelings = 22520601104 "):
+    # the (40)_L (40)_R labelings of every kept record
+    with pytest.raises(SizeGuardError, match="labelings = 22520598400 "):
         exact_trace_moment(VarianceProfile(np.full((40, 40), 0.5)), 5)
 
 
