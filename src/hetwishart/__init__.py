@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 # submodule -> the names the package re-exports from it
 _EXPORTS = {
     "bounds": (
-        "BoundReport", "ClusteringRates", "MomentTail", "baseline_bounds", "c1_constant",
-        "c2_constant", "clustering_rates", "gaussian_upper_bound", "lower_bound_rate",
-        "moment_and_tail", "structured_rates", "unified_bound",
+        "BoundReport", "ClusteringRates", "baseline_bounds", "c1_constant", "c2_constant",
+        "clustering_rates", "gaussian_upper_bound", "lower_bound_rate", "moment_and_tail",
+        "structured_rates", "unified_bound",
     ),
     "errors": (
         "ContractError", "HetWishartError", "NumericalError", "ParameterError", "SizeGuardError",

@@ -23,7 +23,6 @@ from .profiles import (ProfileSummary, VarianceProfile, _check_admissible, _fini
 
 __all__ = [
     "BoundReport",
-    "MomentTail",
     "ClusteringRates",
     "c1_constant",
     "c2_constant",
@@ -169,19 +168,8 @@ def unified_bound(
     )
 
 
-@dataclass(frozen=True)
-class MomentTail:
-    moment_bound: float
-    tail_threshold: float
-    tail_prob: float
-
-    @property
-    def value(self) -> float:
-        return self.moment_bound
-
-
-def moment_and_tail(s: ProfileSummary, b: float, x: float, C: float) -> MomentTail:
-    """b-th moment rate and tail pair:
+def moment_and_tail(s: ProfileSummary, b: float, x: float, C: float) -> BoundReport:
+    """b-th moment rate, the report's value, and tail pair, its terms:
 
         (E ||.||^b)^(1/b)  <~  (sigma_C + sigma_R + sigma_* sqrt(b v log(p1^p2)))^2 - sigma_C^2
         P{ ||.|| >= C ((sigma_C + sigma_R + sigma_* sqrt(log(p1^p2)) + x)^2 - sigma_C^2) }
@@ -200,7 +188,10 @@ def moment_and_tail(s: ProfileSummary, b: float, x: float, C: float) -> MomentTa
     threshold = C * (
         (s.sigma_C + s.sigma_R + s.sigma_star * math.sqrt(log_p) + x) ** 2 - s.sigma_C**2
     )
-    return MomentTail(moment, threshold, math.exp(-x * x))
+    return BoundReport(
+        "moment_tail", moment, {"tail_threshold": threshold, "tail_prob": math.exp(-x * x)},
+        params={"b": b, "x": x, "C": C}, rate_only=True,
+    )
 
 
 def structured_rates(kind: str, sigmas, other_dim: int) -> BoundReport:
@@ -255,16 +246,10 @@ def lower_bound_rate(s: ProfileSummary, p1: int, p2: int) -> BoundReport:
     )
 
 
-def _param(params: dict, name: str, default: float | None = None) -> float | None:
-    """Take the parameter ``name`` out of ``params``: what is left was not read."""
-    value = params.pop(name, default)
-    return None if value is None else _finite(value, f"bound parameter {name!r}")
-
-
 def _structured(kind: str):
     """structured_rates on a profile that must be homoskedastic along ``kind``."""
 
-    def rate(profile: VarianceProfile, params: dict) -> BoundReport:
+    def rate(profile: VarianceProfile) -> BoundReport:
         sigma = profile.sigma if kind == "rows" else profile.sigma.T
         if not (sigma == sigma[:, :1]).all():
             raise ParameterError(f"profile is not {kind}-homoskedastic")
@@ -274,54 +259,58 @@ def _structured(kind: str):
 
 
 def _unified(family: str):
-    """unified_bound of ``family``, which reads c0, and alpha (heavy tail) or
-    B (bounded, but not Bernoulli, whose B is 1)."""
-    read = {"heavy_tail": "alpha", "bounded": "B"}.get(family)
-    return lambda profile, params: unified_bound(
-        summarize(profile),
-        family,
-        **({read: _param(params, read)} if read else {}),
-        p_max=max(profile.p1, profile.p2),
-        c0=_param(params, "c0", 1.0),
+    """unified_bound of ``family``, given the parameters its row reads."""
+    return lambda profile, **params: unified_bound(
+        summarize(profile), family, p_max=max(profile.p1, profile.p2), **params
     )
 
 
-def _reading(bound_id: str, rate):
-    """``rate`` as the BOUNDS entry ``bound_id``: it takes the parameters it
-    reads out of a copy of params, and any left over is a ParameterError."""
+def _reading(bound_id: str, rate, reads: dict):
+    """``rate`` as the BOUNDS entry ``bound_id``: it is called with each
+    parameter named in ``reads``, given or else its default there, checked
+    finite (None stays None).  Any other parameter is a ParameterError.  The
+    entry exposes ``reads``."""
 
-    def entry(profile: VarianceProfile, params: dict):
-        unread = dict(params)
-        report = rate(profile, unread)
+    def entry(profile: VarianceProfile, params: dict) -> BoundReport:
+        unread = [name for name in params if name not in reads]
         if unread:
-            raise ParameterError(f"bound id {bound_id!r} does not read parameter {next(iter(unread))!r}")
-        return report
+            raise ParameterError(f"bound id {bound_id!r} does not read parameter {unread[0]!r}")
+        values = {}
+        for name, default in reads.items():
+            value = params.get(name, default)
+            values[name] = None if value is None else _finite(value, f"bound parameter {name!r}")
+        return rate(profile, **values)
 
+    entry.reads = reads
     return entry
 
 
-# Every bound by id: a function of (profile, params) returning the library's
-# report (a BoundReport, or MomentTail for moment_tail).  Parameter defaults
-# live here and nowhere else; looking up an unknown id, or passing a
-# parameter the id does not read, raises ParameterError.
-BOUNDS: dict = _Table("bound id", {bound_id: _reading(bound_id, rate) for bound_id, rate in {
-    "gaussian": lambda profile, params: gaussian_upper_bound(
-        summarize(profile), _param(params, "eps1", 0.1), _param(params, "eps2", 0.1)
+# Every bound by id: a rate of the profile and the parameters it reads, and
+# the parameters it reads with their defaults (None: the rate requires it).
+# The defaults live here and nowhere else; looking up an unknown id, or
+# passing a parameter the id does not read, raises ParameterError.
+BOUNDS: dict = _Table("bound id", {bound_id: _reading(bound_id, rate, reads) for bound_id, (rate, reads) in {
+    "gaussian": (
+        lambda profile, eps1, eps2: gaussian_upper_bound(summarize(profile), eps1, eps2),
+        {"eps1": 0.1, "eps2": 0.1},
     ),
-    "symmetrization": lambda profile, params: baseline_bounds(summarize(profile), profile.p2)[0],
-    "matrix_sum": lambda profile, params: baseline_bounds(summarize(profile), profile.p2)[1],
-    "lower_bound": lambda profile, params: lower_bound_rate(
-        summarize(profile), profile.p1, profile.p2
+    "symmetrization": (lambda profile: baseline_bounds(summarize(profile), profile.p2)[0], {}),
+    "matrix_sum": (lambda profile: baseline_bounds(summarize(profile), profile.p2)[1], {}),
+    "lower_bound": (
+        lambda profile: lower_bound_rate(summarize(profile), profile.p1, profile.p2), {}
     ),
-    "structured_rows": _structured("rows"),
-    "structured_columns": _structured("columns"),
-    "moment_tail": lambda profile, params: moment_and_tail(
-        summarize(profile),
-        _param(params, "b", 2.0),
-        _param(params, "x", 1.0),
-        _param(params, "C", 1.0),
+    "structured_rows": (_structured("rows"), {}),
+    "structured_columns": (_structured("columns"), {}),
+    "moment_tail": (
+        lambda profile, **params: moment_and_tail(summarize(profile), **params),
+        {"b": 2.0, "x": 1.0, "C": 1.0},
     ),
-    **{f"unified_{family}": _unified(family) for family in _FAMILY_ALIASES},
+    "unified_gaussian": (_unified("gaussian"), {"c0": 1.0}),
+    "unified_sub_gaussian": (_unified("sub_gaussian"), {"c0": 1.0}),
+    "unified_rademacher": (_unified("rademacher"), {"c0": 1.0}),
+    "unified_heavy_tail": (_unified("heavy_tail"), {"alpha": None, "c0": 1.0}),
+    "unified_bounded": (_unified("bounded"), {"B": None, "c0": 1.0}),
+    "unified_bernoulli": (_unified("bernoulli"), {"c0": 1.0}),
 }.items()})
 
 

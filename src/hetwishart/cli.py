@@ -105,15 +105,14 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------- bound
 
 
-_BOUND_FLAGS = ("eps1", "eps2", "b", "x", "C", "alpha", "B", "c0")
+# one --flag per parameter that some bound id reads
+_BOUND_FLAGS = tuple(dict.fromkeys(name for entry in bounds.BOUNDS.values() for name in entry.reads))
 
 
 def cmd_bound(args) -> int:
     bound = bounds.BOUNDS[args.id]
     params = {k: getattr(args, k) for k in _BOUND_FLAGS if getattr(args, k) is not None}
-    report = dataclasses.asdict(bound(profiles.load_profile(args.profile), params))
-    report.setdefault("bound_id", args.id)
-    _emit(args.out, report)
+    _emit(args.out, dataclasses.asdict(bound(profiles.load_profile(args.profile), params)))
     return 0
 
 
@@ -277,17 +276,11 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     seed = _integer_setting(args, cfg, "seed")
     threads = _integer_setting(args, cfg, "threads", 1)
-    try:
+    with profiles._fields("sweep config"):
         named = _resolve_family(cfg["family"], seed)
         reps = profiles._integer(cfg["reps"], "reps")
         bound_cfg = dict(cfg.get("bound", {"id": "gaussian"}))
         bound_id = bound_cfg.pop("id")
-    except KeyError as exc:
-        raise ParameterError(f"sweep config missing field {exc}") from None
-    except ParameterError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"sweep config field of the wrong type or value: {exc}") from None
     model = samplers.model_from_json_dict(cfg.get("model", {"model": "gaussian", "params": {}}))
     rows = experiments.rate_sweep(
         named, model, reps, bound_id, seed, threads, bound_params=bound_cfg

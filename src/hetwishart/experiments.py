@@ -166,9 +166,9 @@ def tail_empirics(
     norms = concentration_norms(profile, model, n_reps, master_seed, threads)
     rows = []
     for x in x_grid:
-        mt = bounds_mod.moment_and_tail(s, b=1.0, x=float(x), C=C)
-        freq = float(np.mean(norms > mt.tail_threshold))
-        rows.append(TailRow(float(x), mt.tail_threshold, freq, mt.tail_prob))
+        tail = bounds_mod.moment_and_tail(s, b=1.0, x=float(x), C=C).terms
+        freq = float(np.mean(norms > tail["tail_threshold"]))
+        rows.append(TailRow(float(x), tail["tail_threshold"], freq, tail["tail_prob"]))
     return rows
 
 
@@ -198,10 +198,10 @@ def rate_sweep(
     """One Monte Carlo estimate + bound evaluation per grid point.
 
     Each grid point runs on its own derived seed, so adding or removing rows
-    never perturbs the others.  The bound is the ``bounds.BOUNDS`` entry
-    ``bound_id`` (the moment bound for ``moment_tail``); an unknown id raises
-    ParameterError before any replicate runs, even over an empty family, and
-    each row's bound is evaluated before its replicates.  A row whose mean,
+    never perturbs the others.  The bound is the value of the ``bounds.BOUNDS``
+    entry ``bound_id``; an unknown id raises ParameterError before any
+    replicate runs, even over an empty family, and each row's bound is
+    evaluated before its replicates.  A row whose mean,
     std_err or bound is not finite raises NumericalError.
     """
     bound_fn = bounds_mod.BOUNDS[bound_id]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -116,6 +117,21 @@ class _Table(dict):
             return super().__getitem__(name)
         except (KeyError, TypeError):
             raise ParameterError(f"unknown {self.what} {name!r}; expected one of {sorted(self)}") from None
+
+
+@contextmanager
+def _fields(what: str):
+    """The one rule for reading the fields of a JSON object, ``what``: a
+    missing field, or one of the wrong type or value, raises ParameterError
+    naming ``what``.  A ParameterError raised inside passes unchanged."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParameterError(f"{what} missing field {exc}") from None
+    except ParameterError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{what} field of the wrong type or value: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -307,14 +323,8 @@ def _profile_from_payload(payload) -> VarianceProfile:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ParameterError('profile JSON must be an object with a "kind" field')
     build = _PROFILE_KINDS[payload["kind"]]
-    try:
+    with _fields("profile JSON"):
         return build(payload)
-    except KeyError as exc:
-        raise ParameterError(f"profile JSON missing field {exc}") from exc
-    except ParameterError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"profile JSON field of the wrong type or shape: {exc}") from None
 
 
 def _reject_constant(name: str):

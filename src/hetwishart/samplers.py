@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ParameterError
-from .profiles import VarianceProfile, _finite, _integer, _Table
+from .profiles import VarianceProfile, _fields, _finite, _integer, _Table
 
 __all__ = [
     "SampleSeed",
@@ -113,12 +113,8 @@ class NoiseModel:
 
     @classmethod
     def from_params(cls, params: dict) -> NoiseModel:
-        try:
+        with _fields(f"noise model {cls.kind!r} params"):
             values = {f.name: params[f.name] for f in fields(cls)}
-        except KeyError as exc:
-            raise ParameterError(f"noise model JSON missing parameter {exc}") from None
-        except TypeError as exc:
-            raise ParameterError(f"noise model params must be a JSON object: {exc}") from None
         return cls(**values)
 
 

@@ -126,27 +126,27 @@ def test_unified_bound_families():
 
 def test_moment_and_tail():
     s = ProfileSummary(1.0, 2.0, 0.5, 7)
-    assert moment_and_tail(s, 2.0, 0.0, 1.0).tail_prob == 1.0
+    assert moment_and_tail(s, 2.0, 0.0, 1.0).terms["tail_prob"] == 1.0
 
     s0 = ProfileSummary(1.0, 2.0, 0.0, 7)
-    assert moment_and_tail(s0, 5.0, 1.0, 1.0).moment_bound == pytest.approx((1 + 2) ** 2 - 1)
+    assert moment_and_tail(s0, 5.0, 1.0, 1.0).value == pytest.approx((1 + 2) ** 2 - 1)
 
     s1 = ProfileSummary(1.0, 1.0, 1.0, 2)
-    assert moment_and_tail(s1, 4.0, 0.0, 1.0).moment_bound == pytest.approx(15.0)
+    assert moment_and_tail(s1, 4.0, 0.0, 1.0).value == pytest.approx(15.0)
 
     # at b = log(p1 ^ p2) the maximum is inactive: same as the b-free expression
     sx = ProfileSummary(1.5, 2.0, 0.75, 20)
-    at_crossover = moment_and_tail(sx, math.log(20), 0.0, 1.0).moment_bound
+    at_crossover = moment_and_tail(sx, math.log(20), 0.0, 1.0).value
     free = (sx.sigma_C + sx.sigma_R + sx.sigma_star * math.sqrt(math.log(20))) ** 2 - sx.sigma_C**2
     assert at_crossover == free
 
     mt = moment_and_tail(sx, 2.0, 1.5, 10.0)
-    assert mt.tail_prob == pytest.approx(math.exp(-2.25))
+    assert mt.terms["tail_prob"] == pytest.approx(math.exp(-2.25))
     expected = 10.0 * (
         (sx.sigma_C + sx.sigma_R + sx.sigma_star * math.sqrt(math.log(20)) + 1.5) ** 2
         - sx.sigma_C**2
     )
-    assert mt.tail_threshold == pytest.approx(expected, rel=1e-12)
+    assert mt.terms["tail_threshold"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_structured_rates():
@@ -207,8 +207,8 @@ def test_bounds_monotone_in_each_scale():
             sym.value,
             tropp.value,
             unified_bound(s, "sub_gaussian").value,
-            moment_and_tail(s, 3.0, 1.0, 1.0).moment_bound,
-            moment_and_tail(s, 3.0, 1.0, 1.0).tail_threshold,
+            moment_and_tail(s, 3.0, 1.0, 1.0).value,
+            moment_and_tail(s, 3.0, 1.0, 1.0).terms["tail_threshold"],
         ]
 
     for axis in range(3):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import weakref
@@ -22,7 +23,7 @@ from hetwishart import (
     unified_bound,
 )
 from hetwishart.bounds import _FAMILY_ALIASES, BOUNDS
-from hetwishart.cli import VERSION_TABLE, main
+from hetwishart.cli import VERSION_TABLE, build_parser, main
 from hetwishart.spectral import DENSE_CUTOFF
 
 
@@ -264,12 +265,47 @@ def test_expected_reports_cover_every_bound():
     assert set(EXPECTED_REPORTS) == set(BOUNDS)
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_bound_table_lists_every_bound_id():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    table = readme.split("| id | reads |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
-    ids = [name for line in table.splitlines()
-           for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+    """Each row names its ids, and the --flags they read with their defaults,
+    "(required)" for a parameter the id needs: the same as BOUNDS[id].reads,
+    and each flag is one that `bound` takes."""
+    table = README.split("| id | reads |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    ids = []
+    for line in table.splitlines():
+        _, names, reads, _ = line.split("|")
+        listed = {flag: None if default == "required" else float(default)
+                  for flag, default in re.findall(r"`--(\w+)` \(([^)]*)\)", reads)}
+        for name in re.findall(r"`(\w+)`", names):
+            ids.append(name)
+            assert listed == BOUNDS[name].reads, name
+            args = build_parser().parse_args(
+                ["bound", "--profile", "p.json", "--id", name, *(f"--{flag}=1" for flag in listed)])
+            assert all(getattr(args, flag) == 1.0 for flag in listed), name
     assert sorted(ids) == sorted(BOUNDS)
+
+
+README_COMMANDS = [shlex.split(line, comments=True)[1:]
+                   for block in re.findall(r"```bash\n(.*?)```", README, re.S)
+                   for line in block.splitlines() if line.startswith("hetwishart ")]
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "profile", "bound", "simulate", "oracle", "sweep", "cluster", "--version"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_parses(argv):
+    parser = build_parser()
+    if argv == ["--version"]:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 0
+    else:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 @pytest.mark.parametrize("bound_id", sorted(EXPECTED_REPORTS))
@@ -300,7 +336,7 @@ def test_sweep_accepts_every_bound_kind(tmp_path, capsys, bound_id):
         if bound_id == "structured_rows":
             expected = structured_rates("rows", row["sigmas"], row["other_dim"]).value
         else:
-            expected = moment_and_tail(summarize(prof), 3.0, 1.0, 1.0).moment_bound
+            expected = moment_and_tail(summarize(prof), 3.0, 1.0, 1.0).value
         fields = line.split(",")
         assert fields[7] == bound_id
         assert float(fields[8]) == expected
