@@ -149,8 +149,10 @@ def unified_bound(
     if kind in ("sub_gaussian", "gaussian"):
         K = s.sigma_star * sqrt_log
     elif kind == "heavy_tail":
-        if alpha is None or p_max is None:
-            raise ParameterError("heavy-tail family needs alpha and p_max")
+        if alpha is None:
+            raise ParameterError("heavy-tail family needs alpha")
+        if p_max is None:
+            raise ParameterError("heavy-tail family needs p_max")
         alpha = _finite(alpha, "alpha", 0.0, 2.0, open_low=True)
         if p_max < s.p_min:
             raise ParameterError("p_max must be >= p_min")

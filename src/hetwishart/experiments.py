@@ -17,6 +17,7 @@ import functools
 import io
 import math
 import os
+import threading
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
@@ -62,31 +63,60 @@ CLUSTER_TOL = 1e-12
 
 
 def _run_replicates(fn: Callable[[int], float], n_reps: int, threads: int) -> np.ndarray:
-    """Evaluate fn(0..n_reps-1) with a worker pool; output order is by index.
+    """Evaluate fn(0..n_reps-1) on the caller and up to threads - 1 pool
+    threads; output order is by index.
 
-    The whole run, at every ``threads`` value, holds OpenBLAS to one thread
-    (``_one_blas_thread``): a product or eigensolve then gives the same bits
-    whatever the host's BLAS threading, and the workers do not oversubscribe
-    the CPUs with BLAS threads of their own.  Pool workers take the caller's
-    numpy floating-point error handling (``np.errstate`` is per thread).
-    The pool has at most one worker per CPU and per replicate, whatever
-    ``threads`` asks for.
+    The workers take indices in increasing order from one iterator and store
+    each value at its index, so the output does not depend on ``threads``.
+    If replicates raise, the exception of the lowest failing index is raised:
+    once one fails no worker takes a new index, and every lower index has
+    already started.  The whole run, at every ``threads`` value, holds
+    OpenBLAS to one thread (``_one_blas_thread``): a product or eigensolve
+    then gives the same bits whatever the host's BLAS threading, and the
+    workers do not oversubscribe the CPUs with BLAS threads of their own.
+    Pool threads take the caller's numpy floating-point error handling
+    (``np.errstate`` is per thread).  There are at most as many workers,
+    the caller included, as CPUs and as replicates, whatever ``threads``
+    asks for.
     """
     n_reps, threads = _integer(n_reps, "n_reps", 1), _integer(threads, "threads", 1)
     workers = min(threads, n_reps, os.cpu_count() or 1)
+    values: list = [None] * n_reps
+    failed: dict[int, BaseException] = {}
+    indices = iter(range(n_reps))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                r = None if failed else next(indices, None)
+            if r is None:
+                return
+            try:
+                values[r] = fn(r)
+            except BaseException as exc:  # raised below; a Ctrl-C stops the pool too
+                with lock:
+                    failed[r] = exc
+                return
+
     with _one_blas_thread():
         if workers == 1:
-            # The calling thread is the one worker.  A pool thread would
-            # allocate from its own malloc arena, apart from the memory the
-            # caller has freed: 4.7 MB more peak RSS (49.6 -> 54.3 MB) on a
-            # sweep to p1 = 3000, x86_64 glibc.
-            values = [fn(r) for r in range(n_reps)]
+            drain()
         else:
+            # The caller is a worker too.  A pool thread allocates from its
+            # own malloc arena, apart from the memory the caller has freed:
+            # one pool thread more cost 4.7 MB peak RSS (49.6 -> 54.3 MB) on
+            # a sweep to p1 = 3000 and 0.7 MB on 500 replicates of
+            # 100 x 100, x86_64 glibc.
             from concurrent.futures import ThreadPoolExecutor
 
             errors = functools.partial(np.seterr, **np.geterr())
-            with ThreadPoolExecutor(workers, initializer=errors) as pool:
-                values = list(pool.map(fn, range(n_reps)))
+            with ThreadPoolExecutor(workers - 1, initializer=errors) as pool:
+                for _ in range(workers - 1):
+                    pool.submit(drain)
+                drain()
+    if failed:
+        raise failed[min(failed)]
     return np.asarray(values, dtype=float)
 
 
@@ -121,6 +151,20 @@ def concentration_norms(
     return _run_replicates(one, n_reps, threads)
 
 
+def _quantile(ordered: np.ndarray, p: float) -> float:
+    """The p-quantile, 0 <= p <= 1, of the sorted finite values ``ordered``
+    by numpy's default ``linear`` rule, bitwise ``np.quantile``: at virtual
+    index (n - 1) p, between a and b = a + d, a + d t below t = 1/2 and
+    b - d (1 - t) from it.  (With both -0.0 and 0.0 among the values, the
+    sign of a zero quantile may differ; a norm is never -0.0.)
+    ``np.quantile`` would import ``numpy.ma``."""
+    v = (len(ordered) - 1) * p
+    lo = math.floor(v)
+    a, b = float(ordered[lo]), float(ordered[min(lo + 1, len(ordered) - 1)])
+    t = v - lo
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def estimate_concentration(
     profile: VarianceProfile,
     model: NoiseModel,
@@ -128,10 +172,13 @@ def estimate_concentration(
     master_seed: int,
     threads: int = 1,
 ) -> ConcentrationEstimate:
-    """Monte Carlo summary of E||ZZ' - E ZZ'|| over n_reps replicates."""
+    """Monte Carlo summary of E||ZZ' - E ZZ'|| over n_reps replicates: the
+    mean, its standard error and the ``DEFAULT_QUANTILES`` of the norms,
+    read from one sort by ``_quantile`` (bitwise ``np.quantile``)."""
     n_reps = _integer(n_reps, "n_reps", 2)
     norms = concentration_norms(profile, model, n_reps, master_seed, threads)
-    quantiles = {p: float(np.quantile(norms, p)) for p in DEFAULT_QUANTILES}
+    ordered = np.sort(norms)
+    quantiles = {p: _quantile(ordered, p) for p in DEFAULT_QUANTILES}
     return ConcentrationEstimate(
         mean=float(norms.mean()),
         std_err=float(norms.std(ddof=1) / math.sqrt(n_reps)),
@@ -206,9 +253,11 @@ def rate_sweep(
     """
     bound_fn = bounds_mod.BOUNDS[bound_id]
     rows = []
-    for index, (name, profile) in enumerate(named_profiles):
+    # no enumerate: its reused result tuple would hold the last row's profile
+    # while the family builds the next one
+    for name, profile in named_profiles:
         bound = bound_fn(profile, bound_params or {}).value
-        row_seed = derive_seed(master_seed, _SALT_SWEEP_ROW | index)
+        row_seed = derive_seed(master_seed, _SALT_SWEEP_ROW | len(rows))
         est = estimate_concentration(profile, model, n_reps, row_seed, threads)
         if not all(map(math.isfinite, (est.mean, est.std_err, bound))):
             raise NumericalError(f"sweep row {name!r}: mean, std_err or bound is not a finite number")
@@ -227,6 +276,7 @@ def rate_sweep(
                 ratio=ratio,
             )
         )
+        del profile, est  # before the family builds the next row
     return rows
 
 

@@ -154,12 +154,13 @@ class _CenteredOperator:
         """The p1 x p1 matrix, bitwise symmetric with no symmetrizing pass:
         for a C- or Fortran-ordered Z numpy forms Z @ Z.T as a symmetric
         product (one triangle, mirrored), so any other Z is copied to C order
-        first, and only the diagonal changes afterwards."""
+        first, and only the diagonal changes afterwards, through a strided
+        view of the new C-ordered product."""
         Z = self.Z
         if not (Z.flags.c_contiguous or Z.flags.f_contiguous):
             Z = np.ascontiguousarray(Z)
         A = Z @ Z.T
-        A[np.diag_indices_from(A)] -= self.d
+        A.ravel()[:: A.shape[0] + 1] -= self.d
         return A
 
 

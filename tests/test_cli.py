@@ -1014,3 +1014,75 @@ def test_an_overflow_exits_5_with_one_line_and_no_output_file(tmp_path, case, th
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
     assert "(34," not in proc.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["bound", "simulate", "oracle"])
+def test_out_file_and_stdout_are_the_same_bytes(tmp_path, case):
+    """With --out, the file, stdout and the payload's
+    ``json.dumps(indent=2, sort_keys=True)`` plus a newline are equal bytes."""
+    path = write_profile(tmp_path, np.random.default_rng(3).uniform(size=(30, 7)))
+    small = write_profile(tmp_path, [[1.0, 0.5], [0.25, 1.0]], "small.json")
+    out = tmp_path / "out.json"
+    argv = {"bound": ["bound", "--profile", path, "--id", "gaussian"],
+            "simulate": ["simulate", "--profile", path, "--reps", "20", "--seed", "2",
+                         "--threads", "2"],
+            "oracle": ["oracle", "--check", "comparison", "--profile", small, "--q", "4"]}[case]
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    proc = subprocess.run([sys.executable, "-m", "hetwishart.cli", *argv, "--out", str(out)],
+                          capture_output=True, env=env, check=True)
+    text = json.dumps(json.loads(out.read_bytes()), indent=2, sort_keys=True) + "\n"
+    assert out.read_bytes() == proc.stdout == text.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "profile.json", "small.json"]
+
+
+@pytest.mark.parametrize("case", ["bound", "simulate"])
+def test_a_non_finite_result_with_out_writes_nothing(tmp_path, case):
+    """A result that overflows exits 5 with --out too, and leaves no file, no
+    temp file and no stdout."""
+    out = tmp_path / "out.json"
+    argv = [*_overflow_argv(tmp_path, case, "1"), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    proc = subprocess.run([sys.executable, "-m", "hetwishart.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 5 and proc.stdout == ""
+    assert not out.exists() and not (tmp_path / "out.json.tmp").exists()
+
+
+def test_emit_removes_its_temp_file_on_a_late_non_finite_number(tmp_path, capsys):
+    """A NaN after much of the JSON has been streamed is a NumericalError; the
+    temp file is removed and nothing reaches the path or stdout."""
+    from hetwishart import cli
+    from hetwishart.errors import NumericalError
+
+    out = tmp_path / "out.json"
+    with pytest.raises(NumericalError, match="not a finite number"):
+        cli._emit(str(out), {"a": [0.5] * 10_000, "z": float("nan")})
+    assert list(tmp_path.iterdir()) == [] and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("case", ["simulate", "sweep"])
+def test_simulate_and_sweep_do_not_load_numpy_ma(tmp_path, case):
+    """The quantiles are read from one sort, so no Monte Carlo run imports
+    ``numpy.ma`` (``np.quantile`` would, through ``np.unique``)."""
+    path = write_profile(tmp_path, np.full((20, 10), 0.5))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "family": {"kind": "homoskedastic_rows_grid", "p1_grid": [20, 30], "p2": 10}, "reps": 3,
+    }))
+    argv = {"simulate": ["simulate", "--profile", path, "--reps", "5", "--seed", "1",
+                         "--threads", "2", "--out", str(tmp_path / "out.json")],
+            "sweep": ["sweep", "--config", str(sweep), "--seed", "1",
+                      "--out", str(tmp_path / "sweep.csv")]}[case]
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert "hetwishart.experiments" in loaded and "numpy.ma" not in loaded
+
+
+def test_unified_heavy_tail_without_alpha_names_alpha_only(tmp_path, capsys):
+    """``p_max`` comes from the profile, so the error names only ``alpha``."""
+    path = write_profile(tmp_path, np.ones((4, 9)))
+    assert main(["bound", "--profile", path, "--id", "unified_heavy_tail"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha" in err and "p_max" not in err

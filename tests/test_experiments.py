@@ -405,3 +405,91 @@ def test_phase_diagram_smoke(n, p):
         threads=3,
     )
     assert rows == rows_again
+
+
+QUANTILE_CASES = {
+    "n=2": [0.75, 0.25],
+    "ties": [2.0, 1.0, 2.0, 2.0, 0.5, 1.0, 2.0],
+    "all_equal": [1.5] * 9,
+    "zeros": [0.0, 0.0, 3.0],
+    "random": list(np.random.default_rng(11).gamma(2.0, size=501)),
+}
+
+
+@pytest.mark.parametrize("values", QUANTILE_CASES.values(), ids=QUANTILE_CASES.keys())
+def test_quantile_is_bitwise_np_quantile(values):
+    ordered = np.sort(values)
+    for p in (*experiments.DEFAULT_QUANTILES, 0.0, 0.1, 1.0):
+        q = experiments._quantile(ordered, p)
+        assert type(q) is float
+        assert np.float64(q).tobytes() == np.quantile(values, p).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=200))
+def test_quantile_is_bitwise_np_quantile_on_any_norms(values):
+    ordered = np.sort(values)
+    for p in experiments.DEFAULT_QUANTILES:
+        q = experiments._quantile(ordered, p)
+        assert np.float64(q).tobytes() == np.quantile(values, p).tobytes()
+
+
+def test_estimate_quantiles_are_np_quantile_of_the_norms():
+    profile = VarianceProfile(np.random.default_rng(4).uniform(size=(12, 9)))
+    est = estimate_concentration(profile, Gaussian(), 31, 8, threads=2)
+    norms = concentration_norms(profile, Gaussian(), 31, 8)
+    assert est.quantiles == {p: float(np.quantile(norms, p)) for p in experiments.DEFAULT_QUANTILES}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_replicates_raises_the_lowest_failing_replicate(monkeypatch, threads):
+    """Replicates 1 and 3 fail with different messages; replicate 1's error is
+    raised at any ``threads``, also when replicate 3 fails first, and the
+    caller is one of the workers: the pool has at most workers - 1 threads."""
+    import concurrent.futures
+    import time
+
+    pools = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def recording(max_workers=None, *args, **kwargs):
+        pools.append(max_workers)
+        return real(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+
+    def fn(rep):
+        if rep == 1:
+            time.sleep(0.2)  # with other workers, replicate 3 fails first
+            raise NumericalError("replicate 1 failed")
+        if rep == 3:
+            raise NumericalError("replicate 3 failed")
+        return float(rep)
+
+    with pytest.raises(NumericalError, match="replicate 1 failed"):
+        experiments._run_replicates(fn, 6, threads)
+    assert all(workers <= threads - 1 for workers in pools)
+    assert len(pools) == (threads > 1)
+
+
+def test_run_replicates_takes_each_index_once_under_thread_switching(monkeypatch):
+    """Eight workers on a one-microsecond switch interval: every index is
+    evaluated exactly once and its value lands at its index."""
+    import sys
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    calls = []
+
+    def fn(rep):
+        calls.append(rep)
+        return float(rep) * 0.5
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        values = experiments._run_replicates(fn, 3000, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == list(range(3000))
+    assert values.tolist() == [r * 0.5 for r in range(3000)]
